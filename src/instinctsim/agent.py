@@ -270,7 +270,7 @@ def parse_llm_commands(
         raise MalformedCommandError("no JSON array in response")
     try:
         raw = json.loads(response_text[start:end + 1])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedCommandError(f"unparseable command array: {exc}") from exc
     if not isinstance(raw, list):
         raise MalformedCommandError("command payload is not an array")
@@ -283,13 +283,11 @@ def parse_llm_commands(
             kind = HighKind(kind_name)
         except ValueError:
             raise MalformedCommandError(f"unknown command kind: {kind_name!r}")
-        waypoints = item.get("waypoints")
         cmd = HighCommand(
             next_id(), kind, now,
             x=_num(item.get("x")), y=_num(item.get("y")),
             theta=_num(item.get("theta")), speed=_num(item.get("speed")),
-            waypoints=tuple((float(a), float(b)) for a, b in waypoints)
-            if waypoints else None,
+            waypoints=_waypoints(item.get("waypoints")),
         )
         cmd.validate(v_wheel_max)
         commands.append(cmd)
@@ -301,7 +299,27 @@ def _num(value) -> float | None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedCommandError(f"expected a number: {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise MalformedCommandError(f"number out of range: {value!r}") from None
+
+
+def _waypoints(value) -> tuple[tuple[float, float], ...] | None:
+    """A JSON list of [x, y] number pairs; an absent or empty list is None."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise MalformedCommandError(f"waypoints must be an array: {value!r}")
+    out = []
+    for pair in value:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MalformedCommandError(f"bad waypoint: {pair!r}")
+        x, y = _num(pair[0]), _num(pair[1])
+        if x is None or y is None:
+            raise MalformedCommandError(f"bad waypoint: {pair!r}")
+        out.append((x, y))
+    return tuple(out) or None
 
 
 _COMMAND_SCHEMA_PROMPT = """\
@@ -332,8 +350,12 @@ class LlmBackend:
         self.api_key = api_key or os.environ.get("INSTINCTSIM_LLM_KEY", "")
         self.timeout = timeout
         if post is None:
-            import requests
-
+            try:
+                import requests
+            except ImportError:
+                raise RuntimeError(
+                    "the LLM backend needs the 'requests' package: "
+                    "pip install instinctsim[llm]") from None
             post = requests.post
         self._post = post
 

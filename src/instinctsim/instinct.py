@@ -7,6 +7,15 @@ device primitive that must pass the predictive safety check before the motor
 sees it. Feedback and a summarized sensor view go back to the agent every
 tick. The layer never blocks on the agent and keeps working if the agent is
 gone entirely.
+
+Perception is computed once per scan: the belief points, the front minimum
+and the eight-sector digest are derived when a scan arrives, and every
+summary sent in that tick (roaming, ACQUIRE_SCAN, the end-of-tick report)
+reuses the digest with the device's current pose, load and mode. While the
+robot stands still a noise-free device returns scans sharing one read-only
+ranges array (see ``DeviceSim``); such a scan reuses the previous belief
+points, front minimum and digest, and only the belief's ``built_tick``
+advances. Shared arrays are read-only.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,55 +137,72 @@ def predict_trajectory(
     brake later and predict slightly farther travel: discretization errs on
     the conservative side.
     """
-    brake_s = max(abs(v_left), abs(v_right)) / robot.a_max
+    sin, cos, copysign = math.sin, math.cos, math.copysign
+    axle = robot.axle
+    a_max = robot.a_max
+    brake_s = max(abs(v_left), abs(v_right)) / a_max
     horizon = hold_s + brake_s + 0.1
+    t_end = horizon - 1e-12
     x, y, th = pose.x, pose.y, pose.theta
+    s_th, c_th = sin(th), cos(th)  # always sin/cos of the current th
     vl, vr = v_left, v_right
-    pts = [(x, y)]
+    xs = [x]
+    ys = [y]
     t = 0.0
-    while t < horizon - 1e-12:
-        step = min(dt_pred, horizon - t)
+    while t < t_end:
+        step = horizon - t
+        if dt_pred < step:
+            step = dt_pred
         clipped = t < hold_s < t + step
         if clipped:
             step = hold_s - t  # land exactly on the phase boundary
         braking = t >= hold_s
         v = 0.5 * (vl + vr)
-        omega = (vr - vl) / robot.axle
+        omega = (vr - vl) / axle
         if abs(omega) > 1e-9:
             th_end = th + omega * step
             radius = v / omega
-            x += radius * (math.sin(th_end) - math.sin(th))
-            y -= radius * (math.cos(th_end) - math.cos(th))
-            th = th_end
+            s_end, c_end = sin(th_end), cos(th_end)
+            x += radius * (s_end - s_th)
+            y -= radius * (c_end - c_th)
+            th, s_th, c_th = th_end, s_end, c_end
         else:
-            x += v * math.cos(th) * step
-            y += v * math.sin(th) * step
-        pts.append((x, y))
+            x += v * c_th * step
+            y += v * s_th * step
+        xs.append(x)
+        ys.append(y)
         if braking:
-            dv = robot.a_max * step
-            vl -= math.copysign(min(abs(vl), dv), vl) if vl else 0.0
-            vr -= math.copysign(min(abs(vr), dv), vr) if vr else 0.0
+            dv = a_max * step
+            vl -= copysign(min(abs(vl), dv), vl) if vl else 0.0
+            vr -= copysign(min(abs(vr), dv), vr) if vr else 0.0
         t = hold_s if clipped else t + step
-    return np.array(pts)
+    out = np.empty((len(xs), 2))
+    out[:, 0] = xs
+    out[:, 1] = ys
+    return out
 
 
 def _trajectory_clearances(
     samples: np.ndarray, points: np.ndarray, bounds: Rect, radius: float
 ) -> tuple[float, float]:
     """Body clearance minima along a trajectory: to belief points (obstacle
-    surfaces inflated by the robot radius) and to the bounds geofence."""
-    if points.shape[0]:
-        diff = samples[:, None, :] - points[None, :, :]
-        obstacle_min = float(np.sqrt((diff * diff).sum(-1)).min()) - radius
-    else:
-        obstacle_min = math.inf
+    surfaces inflated by the robot radius) and to the bounds geofence.
+
+    sqrt is monotone and correctly rounded, so the root of the least squared
+    distance equals the least distance; likewise the bounds margins are
+    taken from the extreme sample coordinates.
+    """
     xs = samples[:, 0]
     ys = samples[:, 1]
-    inner = np.minimum(
-        np.minimum(xs - bounds.x0, bounds.x1 - xs),
-        np.minimum(ys - bounds.y0, bounds.y1 - ys),
-    )
-    bounds_min = float(inner.min()) - radius
+    if points.shape[0]:
+        dx = xs[:, None] - points[None, :, 0]
+        dy = ys[:, None] - points[None, :, 1]
+        obstacle_min = math.sqrt((dx * dx + dy * dy).min()) - radius
+    else:
+        obstacle_min = math.inf
+    inner = min(float(xs.min()) - bounds.x0, bounds.x1 - float(xs.max()),
+                float(ys.min()) - bounds.y0, bounds.y1 - float(ys.max()))
+    bounds_min = inner - radius
     return obstacle_min, bounds_min
 
 
@@ -326,6 +353,15 @@ def roam_intent(
     return v_left, v_right
 
 
+class _Percept(NamedTuple):
+    """What the controller derived from one distinct ranges array."""
+
+    ranges: np.ndarray
+    points: np.ndarray  # belief points, read-only
+    front_min: float
+    digest: ScanSummary  # sector minima and nearest return of ``ranges``
+
+
 @dataclass
 class _ActiveCommand:
     cmd: HighCommand
@@ -363,6 +399,7 @@ class InstinctController:
         self.safe_streak = 0
         self._low_id = 0
         self._scan: LidarScan | None = None
+        self._percept: _Percept | None = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -488,8 +525,7 @@ class InstinctController:
         else:  # ACQUIRE_SCAN: serve from this tick's sweep, summary now
             self._emit("DEVICE", "exec_scan", {"low_id": low.id,
                                                "parent_id": parent})
-            summary = summarize(self._scan, self.device.state)
-            self.data_channel.transmit(summary, now)
+            self.data_channel.transmit(self._summary(), now)
 
     # -- the tick ----------------------------------------------------------
 
@@ -500,8 +536,7 @@ class InstinctController:
         scan = self.device.acquire_scan(now)
         self._scan = scan
         state = self.device.state
-        self.belief = ObstacleBelief.from_scan(scan, state.pose.x, state.pose.y)
-        front_min = front_min_range(scan)
+        front_min = self._perceive(scan, state)
         if state.load >= self.params.overload_threshold:
             self.overload_ticks += 1
         else:
@@ -519,7 +554,7 @@ class InstinctController:
             self.enter_safe_mode(now, reason)
             self._send_feedback(Feedback(None, FeedbackStatus.SAFE_MODE,
                                          reason, now))
-            self._send_data(scan, now)
+            self._send_data(now)
             return
 
         if state.mode is Mode.SAFE:
@@ -532,7 +567,7 @@ class InstinctController:
             else:
                 self.device.stop()
             self._answer_while_safe_mode(now)
-            self._send_data(scan, now)
+            self._send_data(now)
             return
 
         # (4) survival tasks: speed governor and idle roaming
@@ -542,7 +577,7 @@ class InstinctController:
                                                 "front_min": front_min})
         executed_motion = False
         if self.params.roaming and self.active is None and not self.queue:
-            executed_motion = self._roam(scan, state, scale, now)
+            executed_motion = self._roam(scan, scale, now)
 
         # (5) poll high commands; adopt the next one FIFO
         self._poll_commands(now)
@@ -557,7 +592,43 @@ class InstinctController:
             self.device.stop()
 
         # (7) summarized data every tick
-        self._send_data(scan, now)
+        self._send_data(now)
+
+    def _perceive(self, scan: LidarScan, state: RobotState) -> float:
+        """Set this tick's belief and return front_min.
+
+        Belief points, front_min and the sector digest are derived once per
+        distinct scan. A scan sharing the previous ranges array at the same
+        pose (the device's stationary reuse) reuses them; only the belief is
+        re-stamped with this scan's tick, so staleness works as before.
+        """
+        p = self._percept
+        if (p is not None and p.ranges is scan.ranges
+                and p.digest.pose == state.pose):
+            self.belief = ObstacleBelief(points=p.points, built_tick=scan.tick)
+            return p.front_min
+        belief = ObstacleBelief.from_scan(scan, state.pose.x, state.pose.y)
+        belief.points.flags.writeable = False  # shared by later beliefs
+        self.belief = belief
+        p = _Percept(scan.ranges, belief.points, front_min_range(scan),
+                     summarize(scan, state))
+        self._percept = p
+        return p.front_min
+
+    def _summary(self) -> ScanSummary:
+        """The scan's sector digest with the device's current pose, load and
+        mode (safe-mode handling can change the mode mid-tick)."""
+        digest = self._percept.digest
+        state = self.device.state
+        return ScanSummary(
+            sector_min=digest.sector_min,
+            nearest_bearing=digest.nearest_bearing,
+            nearest_range=digest.nearest_range,
+            pose=state.pose,
+            load=state.load,
+            mode=state.mode,
+            tick=self._scan.tick,
+        )
 
     def _answer_while_safe_mode(self, now: int) -> None:
         for cmd in self.command_channel.poll(now):
@@ -565,10 +636,8 @@ class InstinctController:
             self._send_feedback(Feedback(cmd.id, FeedbackStatus.SAFE_MODE,
                                          "SAFE_MODE", now))
 
-    def _roam(self, scan: LidarScan, state: RobotState, scale: float,
-              now: int) -> bool:
-        summary = summarize(scan, state)
-        vl, vr = roam_intent(summary, self.roam_rng, self.device.robot,
+    def _roam(self, scan: LidarScan, scale: float, now: int) -> bool:
+        vl, vr = roam_intent(self._summary(), self.roam_rng, self.device.robot,
                              self.params, scan.max_range)
         low = LowCommand(self._next_low_id(), None, LowKind.SET_WHEELS,
                          vl * scale, vr * scale)
@@ -625,6 +694,5 @@ class InstinctController:
                                          "EXECUTING", now))
         return low.kind is LowKind.SET_WHEELS
 
-    def _send_data(self, scan: LidarScan, now: int) -> None:
-        summary = summarize(scan, self.device.state)
-        self.data_channel.transmit(summary, now)
+    def _send_data(self, now: int) -> None:
+        self.data_channel.transmit(self._summary(), now)

@@ -45,7 +45,6 @@ class FeedbackStatus(Enum):
     COMPLETED = "COMPLETED"
     REFUSED = "REFUSED"
     SAFE_MODE = "SAFE_MODE"
-    DEVICE_ERROR = "DEVICE_ERROR"
 
 
 TERMINAL_STATUSES = frozenset(

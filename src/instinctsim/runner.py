@@ -115,6 +115,23 @@ def _task_from_spec(spec: TaskSpec, task_id: int) -> Task:
     return Task(task_id, GoalKind.HOLD)
 
 
+def _device_step(rt: Runtime, dt: float, was_collided: bool) -> bool:
+    """Device layer: physics under the held wheel command, the DEVICE state
+    event with the step's own ground-truth clearance, and the collision
+    event on the tick the latch first sets. Returns the collided latch."""
+    state = rt.device.step(dt)
+    rt.recorder.emit("DEVICE", "state", {
+        "x": state.pose.x, "y": state.pose.y, "theta": state.pose.theta,
+        "v_left": state.v_left, "v_right": state.v_right,
+        "load": state.load, "clearance": rt.device.ground_truth_clearance(),
+        "collided": state.collided,
+    })
+    if state.collided and not was_collided:
+        rt.recorder.emit("DEVICE", "collision",
+                         {"x": state.pose.x, "y": state.pose.y})
+    return state.collided
+
+
 def _timing_stats(samples_ns: list[int]) -> dict:
     arr = np.array(samples_ns, dtype=float) / 1e6  # ms
     if arr.size == 0:
@@ -154,19 +171,7 @@ def run_sim(
                 task = _task_from_spec(spec, issued)
                 rt.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
                 rt.task_channel.transmit(task, now)
-        # device layer: physics under the held wheel command
-        state = rt.device.step(scenario.dt)
-        gt_clearance = rt.device.ground_truth_clearance()
-        rt.recorder.emit("DEVICE", "state", {
-            "x": state.pose.x, "y": state.pose.y, "theta": state.pose.theta,
-            "v_left": state.v_left, "v_right": state.v_right,
-            "load": state.load, "clearance": gt_clearance,
-            "collided": state.collided,
-        })
-        if state.collided and not was_collided:
-            was_collided = True
-            rt.recorder.emit("DEVICE", "collision",
-                             {"x": state.pose.x, "y": state.pose.y})
+        was_collided = _device_step(rt, scenario.dt, was_collided)
         # instinct layer, instrumented for the tick budget
         t0 = time.perf_counter_ns()
         rt.instinct.tick(now)
@@ -204,19 +209,13 @@ def run_live(
 
     def instinct_loop() -> None:
         next_deadline = time.monotonic()
+        was_collided = False
         for now in range(scenario.ticks):
             if stop.is_set():
                 break
             rt.recorder.begin_tick(now)
             shared_tick["now"] = now
-            state = rt.device.step(scenario.dt)
-            rt.recorder.emit("DEVICE", "state", {
-                "x": state.pose.x, "y": state.pose.y,
-                "theta": state.pose.theta, "v_left": state.v_left,
-                "v_right": state.v_right, "load": state.load,
-                "clearance": rt.device.ground_truth_clearance(),
-                "collided": state.collided,
-            })
+            was_collided = _device_step(rt, scenario.dt, was_collided)
             t0 = time.perf_counter_ns()
             rt.instinct.tick(now)
             tick_times.append(time.perf_counter_ns() - t0)

@@ -75,9 +75,11 @@ class WorldModel:
     bounds: Rect
     circles: tuple[Circle, ...] = ()
     rects: tuple[Rect, ...] = ()
-    # numpy mirrors, built once; excluded from comparisons/repr
+    # Ray-cast tables, built once; excluded from comparisons/hash/repr.
+    # _slabs: (1 + len(rects), 4) rows (x0, y0, x1, y1), the bounds first;
+    # _circ: (len(circles), 3) rows (cx, cy, radius**2).
+    _slabs: np.ndarray = field(init=False, repr=False)
     _circ: np.ndarray = field(init=False, repr=False)
-    _rect: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         b = self.bounds
@@ -99,10 +101,15 @@ class WorldModel:
                 raise ValueError(f"rect min corner must be below max corner: {r}")
             if not (b.x0 <= r.x0 and r.x1 <= b.x1 and b.y0 <= r.y0 and r.y1 <= b.y1):
                 raise ValueError(f"rect must lie inside bounds: {r}")
-        circ = np.array([(c.cx, c.cy, c.radius) for c in self.circles], dtype=float)
-        rect = np.array([(r.x0, r.y0, r.x1, r.y1) for r in self.rects], dtype=float)
-        object.__setattr__(self, "_circ", circ.reshape(-1, 3))
-        object.__setattr__(self, "_rect", rect.reshape(-1, 4))
+        slabs = np.array([(r.x0, r.y0, r.x1, r.y1) for r in (b, *self.rects)],
+                         dtype=float)
+        circ = np.array([(c.cx, c.cy, c.radius) for c in self.circles],
+                        dtype=float).reshape(-1, 3)
+        circ[:, 2] **= 2
+        slabs.flags.writeable = False
+        circ.flags.writeable = False
+        object.__setattr__(self, "_slabs", slabs)
+        object.__setattr__(self, "_circ", circ)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldModel):
@@ -205,28 +212,27 @@ def _slab_first_hit(
 def beam_distances(
     world: WorldModel, ox: float, oy: float, angles: np.ndarray
 ) -> np.ndarray:
-    """Uncapped distance to the first surface along each ray angle."""
+    """Uncapped distance to the first surface along each ray angle.
+
+    One slab pass covers the bounds and every rect, one pass the circles;
+    the nearest hit is their elementwise minimum.
+    """
     dx = np.cos(angles)
     dy = np.sin(angles)
-    best = _slab_first_hit(
-        ox, oy, dx, dy, np.array([[world.bounds.x0, world.bounds.y0,
-                                   world.bounds.x1, world.bounds.y1]])
-    )[:, 0]
-    if world._circ.shape[0]:
-        fx = world._circ[:, 0] - ox
-        fy = world._circ[:, 1] - oy
+    best = _slab_first_hit(ox, oy, dx, dy, world._slabs).min(axis=1)
+    circ = world._circ
+    if circ.shape[0]:
+        fx = circ[:, 0] - ox
+        fy = circ[:, 1] - oy
         # p(t) = o + t*d hits the circle when t^2 - 2 t (d.f) + |f|^2 - r^2 = 0
         b = dx[:, None] * fx[None, :] + dy[:, None] * fy[None, :]
-        c0 = fx * fx + fy * fy - world._circ[:, 2] ** 2
+        c0 = fx * fx + fy * fy - circ[:, 2]
         disc = b * b - c0[None, :]
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
         t2 = b + sq
         t = np.where(t1 > RAY_T_EPS, t1, np.where(t2 > RAY_T_EPS, t2, np.inf))
         t = np.where(disc >= 0.0, t, np.inf)
-        best = np.minimum(best, t.min(axis=1))
-    if world._rect.shape[0]:
-        t = _slab_first_hit(ox, oy, dx, dy, world._rect)
         best = np.minimum(best, t.min(axis=1))
     return best
 
@@ -324,6 +330,18 @@ def step_world(
     acceleration limit, the pose follows the exact arc, load reports the
     fraction of the acceleration budget consumed, and a collision latches
     once clearance drops below the body radius."""
+    return _step_world(state, world, cmd_v_left, cmd_v_right, dt, robot)[0]
+
+
+def _step_world(
+    state: RobotState,
+    world: WorldModel,
+    cmd_v_left: float,
+    cmd_v_right: float,
+    dt: float,
+    robot: RobotParams,
+) -> tuple[RobotState, float]:
+    """``step_world`` plus the ground-truth clearance at the new pose."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     cmd_v_left = _clamp(cmd_v_left, -robot.v_wheel_max, robot.v_wheel_max)
@@ -335,7 +353,8 @@ def step_world(
     v_right = state.v_right + dvr
     load = _clamp(max(abs(dvl), abs(dvr)) / dv_max, 0.0, 1.0)
     pose = step_kinematics(state.pose, v_left, v_right, robot.axle, dt)
-    collided = state.collided or clearance(world, pose.x, pose.y) < robot.radius
+    gap = clearance(world, pose.x, pose.y)
+    collided = state.collided or gap < robot.radius
     return RobotState(
         pose=pose,
         v_left=v_left,
@@ -343,11 +362,22 @@ def step_world(
         load=load,
         mode=state.mode,
         collided=collided,
-    )
+    ), gap
 
 
 class DeviceSim:
-    """Device layer: motor with zero-order-hold commands, lidar, encoder."""
+    """Device layer: motor with zero-order-hold commands, lidar, encoder.
+
+    A noise-free sweep is a pure function of the pose in an immutable world,
+    so while the pose stays equal to that of the previous sweep,
+    ``acquire_scan`` returns a new ``LidarScan`` (with the new tick) that
+    shares the previous sweep's ranges array instead of casting again.
+    Ranges of noise-free sweeps are read-only, because they may be shared.
+    With ``noise_std > 0`` every call casts and draws noise afresh. Likewise
+    ``step`` keeps the ground-truth clearance it computed for the collision
+    latch, and ``ground_truth_clearance`` returns it while the pose is
+    unchanged.
+    """
 
     def __init__(
         self,
@@ -364,6 +394,8 @@ class DeviceSim:
         self.noise_rng = noise_rng
         self.cmd_v_left = 0.0
         self.cmd_v_right = 0.0
+        self._clearance: tuple[Pose2D | None, float] = (None, 0.0)
+        self._sweep: tuple[Pose2D | None, LidarScan | None] = (None, None)
 
     def set_wheel_command(self, v_left: float, v_right: float) -> None:
         self.cmd_v_left = v_left
@@ -373,24 +405,39 @@ class DeviceSim:
         self.set_wheel_command(0.0, 0.0)
 
     def step(self, dt: float) -> RobotState:
-        self.state = step_world(
+        self.state, gap = _step_world(
             self.state, self.world, self.cmd_v_left, self.cmd_v_right, dt, self.robot
         )
+        self._clearance = (self.state.pose, gap)
         return self.state
 
     def acquire_scan(self, tick: int) -> LidarScan:
-        return scan(
+        pose = self.state.pose
+        noisy = self.lidar.noise_std > 0.0
+        last_pose, last = self._sweep
+        if not noisy and last_pose == pose:
+            return replace(last, angle_min=pose.theta, tick=tick)
+        sweep = scan(
             self.world,
-            self.state.pose,
+            pose,
             self.lidar.beams,
             self.lidar.max_range,
             tick=tick,
             noise_std=self.lidar.noise_std,
             noise_rng=self.noise_rng,
         )
+        if not noisy:
+            sweep.ranges.flags.writeable = False
+            self._sweep = (pose, sweep)
+        return sweep
 
     def set_mode(self, mode: Mode) -> None:
         self.state = replace(self.state, mode=mode)
 
     def ground_truth_clearance(self) -> float:
-        return clearance(self.world, self.state.pose.x, self.state.pose.y)
+        pose, gap = self._clearance
+        if pose is not self.state.pose:
+            pose = self.state.pose
+            gap = clearance(self.world, pose.x, pose.y)
+            self._clearance = (pose, gap)
+        return gap

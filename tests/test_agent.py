@@ -3,9 +3,12 @@
 import json
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instinctsim.agent import (
     DecisionAgent,
@@ -212,6 +215,24 @@ class TestHallucinateWrap:
             cmd.validate(ROBOT.v_wheel_max)  # must not raise
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+_FIELD = st.none() | st.integers() | st.floats() | _JSON
+# Objects shaped like commands: mostly numeric fields and lists of would-be
+# waypoint pairs, with arbitrary JSON anywhere.
+_LLM_COMMAND = st.fixed_dictionaries(
+    {"kind": st.sampled_from([k.value for k in HighKind]) | _JSON},
+    optional={
+        **{key: _FIELD for key in ("x", "y", "theta", "speed")},
+        "waypoints": st.lists(st.lists(_FIELD, max_size=3), max_size=3) | _JSON,
+    },
+)
+
+
 class TestParseLlmCommands:
     def next_id(self):
         ids = iter(range(1, 100))
@@ -250,6 +271,36 @@ class TestParseLlmCommands:
                                           HighKind.FOLLOW_PATH, HighKind.STOP]
         assert cmds[1].waypoints == ((1.0, 0.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("waypoints", [
+        "[[1, 2, 3]]", "[[1, null]]", "5", '"ab"', "[5]", '[["1", "2"]]',
+        "[[true, 2]]", "[[1e999, 0]]", "[[1" + "0" * 400 + ", 0]]",
+    ])
+    def test_malformed_waypoints_reject_batch(self, waypoints):
+        text = f'[{{"kind": "FOLLOW_PATH", "waypoints": {waypoints}}}]'
+        with pytest.raises(MalformedCommandError):
+            parse_llm_commands(text, 0.5, self.next_id(), now=0)
+
+    def test_deeply_nested_array_rejected(self):
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(MalformedCommandError):
+            parse_llm_commands(text, 0.5, self.next_id(), now=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=80),
+                     st.lists(_LLM_COMMAND | _JSON, max_size=3).map(json.dumps),
+                     _JSON.map(json.dumps)))
+    def test_any_text_parses_or_raises_malformed(self, text):
+        try:
+            cmds = parse_llm_commands(text, 0.5, self.next_id(), now=0)
+        except MalformedCommandError:
+            return
+        for cmd in cmds:
+            cmd.validate(0.5)
+            for value in (cmd.x, cmd.y, cmd.theta, cmd.speed):
+                assert value is None or type(value) is float
+            for wp in cmd.waypoints or ():
+                assert len(wp) == 2 and all(type(v) is float for v in wp)
+
 
 class TestLlmBackend:
     def test_adapter_posts_and_retries(self):
@@ -274,6 +325,11 @@ class TestLlmBackend:
         assert "STOP" in text
         assert len(calls) == 2  # one retry
         assert calls[0][1] == 10.0
+
+    def test_missing_requests_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        with pytest.raises(RuntimeError, match=r"pip install instinctsim\[llm\]"):
+            LlmBackend(url="http://example/llm")
 
     def test_unconfigured_url_raises(self):
         backend = LlmBackend(url="", post=lambda *a, **k: None)

@@ -1,0 +1,346 @@
+"""Per-scan perception and the predictive-check kernel against frozen
+references.
+
+The fused ray cast, stationary scan reuse, per-scan perception and the lean
+trajectory kernel must leave every floating-point result bit-identical, so
+each is compared here with ``==`` / ``np.array_equal`` against a reference
+that keeps the straightforward form: one obstacle at a time, a fresh scan,
+the plain sample loop.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_stack
+from instinctsim import instinct
+from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
+from instinctsim.instinct import _trajectory_clearances, predict_trajectory
+from instinctsim.messages import HighCommand, HighKind
+from instinctsim.scenario import random_scenario
+from instinctsim.world import (
+    RAY_T_EPS,
+    Circle,
+    DeviceSim,
+    Pose2D,
+    Rect,
+    RobotState,
+    WorldModel,
+    beam_distances,
+    clearance,
+    scan,
+)
+
+ROBOT = RobotParams()
+PARAMS = InstinctParams()
+
+
+# -- frozen references --------------------------------------------------------
+
+def reference_predict_trajectory(pose, v_left, v_right, hold_s, robot, dt_pred):
+    """The sample loop as first written: sin/cos recomputed every substep and
+    the samples gathered as a list of tuples."""
+    brake_s = max(abs(v_left), abs(v_right)) / robot.a_max
+    horizon = hold_s + brake_s + 0.1
+    x, y, th = pose.x, pose.y, pose.theta
+    vl, vr = v_left, v_right
+    pts = [(x, y)]
+    t = 0.0
+    while t < horizon - 1e-12:
+        step = min(dt_pred, horizon - t)
+        clipped = t < hold_s < t + step
+        if clipped:
+            step = hold_s - t
+        braking = t >= hold_s
+        v = 0.5 * (vl + vr)
+        omega = (vr - vl) / robot.axle
+        if abs(omega) > 1e-9:
+            th_end = th + omega * step
+            radius = v / omega
+            x += radius * (math.sin(th_end) - math.sin(th))
+            y -= radius * (math.cos(th_end) - math.cos(th))
+            th = th_end
+        else:
+            x += v * math.cos(th) * step
+            y += v * math.sin(th) * step
+        pts.append((x, y))
+        if braking:
+            dv = robot.a_max * step
+            vl -= math.copysign(min(abs(vl), dv), vl) if vl else 0.0
+            vr -= math.copysign(min(abs(vr), dv), vr) if vr else 0.0
+        t = hold_s if clipped else t + step
+    return np.array(pts)
+
+
+def reference_trajectory_clearances(samples, points, bounds, radius):
+    """Full (S, K, 2) difference tensor, sqrt of every distance, and the
+    per-sample bounds margins."""
+    if points.shape[0]:
+        diff = samples[:, None, :] - points[None, :, :]
+        obstacle_min = float(np.sqrt((diff * diff).sum(-1)).min()) - radius
+    else:
+        obstacle_min = math.inf
+    xs = samples[:, 0]
+    ys = samples[:, 1]
+    inner = np.minimum(
+        np.minimum(xs - bounds.x0, bounds.x1 - xs),
+        np.minimum(ys - bounds.y0, bounds.y1 - ys),
+    )
+    return obstacle_min, float(inner.min()) - radius
+
+
+def _slab(ox, oy, dx, dy, x0, y0, x1, y1):
+    """First positive ray parameter against one rect (slab test), inf if none."""
+    tiny = 1e-300
+    sdx = np.where(np.abs(dx) < tiny, np.copysign(tiny, dx), dx)
+    sdy = np.where(np.abs(dy) < tiny, np.copysign(tiny, dy), dy)
+    ta, tb = (x0 - ox) / sdx, (x1 - ox) / sdx
+    txmin, txmax = np.minimum(ta, tb), np.maximum(ta, tb)
+    ta, tb = (y0 - oy) / sdy, (y1 - oy) / sdy
+    tymin, tymax = np.minimum(ta, tb), np.maximum(ta, tb)
+    tmin = np.maximum(txmin, tymin)
+    tmax = np.minimum(txmax, tymax)
+    hit = tmax >= np.maximum(tmin, 0.0)
+    t = np.where(tmin > RAY_T_EPS, tmin,
+                 np.where(tmax > RAY_T_EPS, tmax, np.inf))
+    return np.where(hit, t, np.inf)
+
+
+def reference_beam_distances(world, ox, oy, angles):
+    """Bounds, then each circle, then each rect, one obstacle at a time."""
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    b = world.bounds
+    best = _slab(ox, oy, dx, dy, b.x0, b.y0, b.x1, b.y1)
+    for c in world.circles:
+        fx = np.float64(c.cx) - ox
+        fy = np.float64(c.cy) - oy
+        bb = dx * fx + dy * fy
+        disc = bb * bb - (fx * fx + fy * fy - np.float64(c.radius) ** 2)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t1, t2 = bb - sq, bb + sq
+        t = np.where(t1 > RAY_T_EPS, t1, np.where(t2 > RAY_T_EPS, t2, np.inf))
+        best = np.minimum(best, np.where(disc >= 0.0, t, np.inf))
+    for r in world.rects:
+        best = np.minimum(best, _slab(ox, oy, dx, dy, r.x0, r.y0, r.x1, r.y1))
+    return best
+
+
+# -- predictive-check kernel ---------------------------------------------------
+
+_WHEEL = st.floats(-ROBOT.v_wheel_max, ROBOT.v_wheel_max)
+
+
+@st.composite
+def wheel_pairs(draw):
+    """Wheel speeds including the degenerate cases the arc branch guards."""
+    kind = draw(st.sampled_from(["any", "zero", "equal", "near_equal"]))
+    if kind == "zero":
+        return 0.0, 0.0
+    vl = draw(_WHEEL)
+    if kind == "equal":
+        return vl, vl
+    if kind == "near_equal":  # omega within a few 1e-9 of zero
+        return vl, vl + draw(st.floats(-3e-9, 3e-9)) * ROBOT.axle
+    return vl, draw(_WHEEL)
+
+
+class TestPredictiveKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=st.floats(-20, 20), y=st.floats(-20, 20),
+        theta=st.floats(-math.pi, math.pi),
+        wheels=wheel_pairs(),
+        hold_ticks=st.integers(1, 200),
+    )
+    def test_trajectory_matches_reference_loop(self, x, y, theta, wheels,
+                                               hold_ticks):
+        pose = Pose2D(x, y, theta)
+        args = (pose, *wheels, hold_ticks * PHYSICS_DT, ROBOT, PARAMS.dt_pred)
+        got = predict_trajectory(*args)
+        want = reference_predict_trajectory(*args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wheels=wheel_pairs(),
+        hold_ticks=st.integers(1, 200),
+        n_points=st.integers(0, 36),
+    )
+    def test_clearances_match_reference(self, seed, wheels, hold_ticks,
+                                        n_points):
+        rng = random.Random(seed)
+        pose = Pose2D(rng.uniform(-3, 3), rng.uniform(-3, 3),
+                      rng.uniform(-math.pi, math.pi))
+        samples = predict_trajectory(pose, *wheels, hold_ticks * PHYSICS_DT,
+                                     ROBOT, PARAMS.dt_pred)
+        points = np.array([(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                           for _ in range(n_points)]).reshape(-1, 2)
+        bounds = Rect(-4.0, -4.0, 4.0, 4.0)
+        got = _trajectory_clearances(samples, points, bounds, ROBOT.radius)
+        want = reference_trajectory_clearances(samples, points, bounds,
+                                               ROBOT.radius)
+        assert got == want
+
+
+# -- fused ray cast ------------------------------------------------------------
+
+class TestFusedRayCast:
+    def test_matches_per_obstacle_reference(self):
+        rng = random.Random(11)
+        for i in range(150):
+            world = random_scenario(rng.randrange(2**32)).world
+            b = world.bounds
+            # origins outside the bounds and inside obstacles included
+            ox = rng.uniform(b.x0 - 1.0, b.x1 + 1.0)
+            oy = rng.uniform(b.y0 - 1.0, b.y1 + 1.0)
+            angles = rng.uniform(-4.0, 4.0) + np.arange(36) * (math.pi / 18)
+            got = beam_distances(world, ox, oy, angles)
+            want = reference_beam_distances(world, ox, oy, angles)
+            assert np.array_equal(got, want), i
+
+    def test_axis_aligned_rays_and_touching_origins(self):
+        world = WorldModel(bounds=Rect(-2.0, -2.0, 2.0, 2.0),
+                           circles=(Circle(1.0, 0.0, 0.5),),
+                           rects=(Rect(-1.5, -1.5, -0.5, -0.5),))
+        angles = np.array([0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3])
+        for ox, oy in [(0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (-1.0, -1.0),
+                       (2.0, 0.0)]:
+            assert np.array_equal(beam_distances(world, ox, oy, angles),
+                                  reference_beam_distances(world, ox, oy, angles))
+
+    def test_world_tables_stay_out_of_identity(self):
+        a = WorldModel(bounds=Rect(-2, -2, 2, 2), circles=(Circle(1, 0, 0.5),))
+        b = WorldModel(bounds=Rect(-2, -2, 2, 2), circles=(Circle(1, 0, 0.5),))
+        assert a == b and hash(a) == hash(b)
+        assert "_slabs" not in repr(a) and "_circ" not in repr(a)
+
+
+# -- stationary scan reuse ----------------------------------------------------
+
+def _device(noise_std=0.0, seed=None):
+    world = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                       circles=(Circle(1.5, 0.5, 0.4),),
+                       rects=(Rect(-3.0, 1.0, -1.5, 2.0),))
+    return DeviceSim(world, RobotState(pose=Pose2D(0.2, -0.3, 0.4)),
+                     RobotParams(), LidarParams(noise_std=noise_std),
+                     noise_rng=None if seed is None else random.Random(seed))
+
+
+class TestScanReuse:
+    def test_stationary_scan_shares_read_only_ranges(self):
+        dev = _device()
+        dev.step(PHYSICS_DT)  # the heading settles through wrap_angle
+        first = dev.acquire_scan(tick=1)
+        dev.step(PHYSICS_DT)  # zero wheel command: the pose does not change
+        second = dev.acquire_scan(tick=2)
+        assert second.tick == 2
+        assert second.ranges is first.ranges
+        assert not second.ranges.flags.writeable
+        with pytest.raises(ValueError):
+            second.ranges[0] = 0.0
+        fresh = scan(dev.world, dev.state.pose, 36, 5.0, tick=2)
+        assert np.array_equal(second.ranges, fresh.ranges)
+        assert (second.angle_min, second.angle_increment, second.max_range) == (
+            fresh.angle_min, fresh.angle_increment, fresh.max_range)
+
+    def test_moving_robot_rescans(self):
+        dev = _device()
+        first = dev.acquire_scan(tick=1)
+        dev.set_wheel_command(0.3, 0.35)
+        dev.step(PHYSICS_DT)
+        second = dev.acquire_scan(tick=2)
+        assert second.ranges is not first.ranges
+        fresh = scan(dev.world, dev.state.pose, 36, 5.0, tick=2)
+        assert np.array_equal(second.ranges, fresh.ranges)
+
+    def test_noisy_lidar_never_reuses(self):
+        dev = _device(noise_std=0.01, seed=5)
+        ref_rng = random.Random(5)
+        pose = dev.state.pose
+        for tick in range(3):
+            got = dev.acquire_scan(tick)
+            want = scan(dev.world, pose, 36, 5.0, tick=tick, noise_std=0.01,
+                        noise_rng=ref_rng)
+            assert np.array_equal(got.ranges, want.ranges)
+        assert dev.noise_rng.getstate() == ref_rng.getstate()
+
+    def test_ground_truth_clearance_follows_the_pose(self):
+        dev = _device()
+        dev.set_wheel_command(0.3, 0.3)
+        state = dev.step(PHYSICS_DT)
+        assert dev.ground_truth_clearance() == clearance(
+            dev.world, state.pose.x, state.pose.y)
+        dev.state = RobotState(pose=Pose2D(1.0, 0.5, 0.0))  # placed by hand
+        assert dev.ground_truth_clearance() == clearance(dev.world, 1.0, 0.5)
+
+
+# -- per-scan perception in the instinct tick ----------------------------------
+
+def _count_summaries(monkeypatch):
+    ticks = []
+    original = instinct.summarize
+
+    def counting(scan_, state):
+        ticks.append(scan_.tick)
+        return original(scan_, state)
+
+    monkeypatch.setattr(instinct, "summarize", counting)
+    return ticks
+
+
+class TestPerScanPerception:
+    WORLD = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                       circles=(Circle(1.5, 1.0, 0.4), Circle(-1.0, -1.5, 0.5)))
+
+    def test_reused_belief_is_restamped(self):
+        stack = make_stack(world=self.WORLD)
+        stack.controller.tick(0)
+        first = stack.controller.belief
+        stack.controller.tick(1)  # device not stepped: same pose, same sweep
+        second = stack.controller.belief
+        assert second.built_tick == 1
+        assert second.points is first.points
+        assert not second.points.flags.writeable
+
+    def test_summaries_equal_fresh_summaries_and_run_once_per_tick(
+            self, monkeypatch):
+        calls = _count_summaries(monkeypatch)
+        stack = make_stack(world=self.WORLD,
+                           params=InstinctParams(roaming=True))
+        sent = []
+        for now in range(400):
+            if now % 50 == 10:  # ACQUIRE_SCAN path: a second summary this tick
+                stack.command.transmit(
+                    HighCommand(now, HighKind.QUERY_STATUS, now), now)
+            if not 200 <= now < 240:  # no physics: the pose holds, sweeps reused
+                stack.device.step(PHYSICS_DT)
+            stack.controller.tick(now)
+            fresh = instinct.summarize(
+                scan(stack.world, stack.device.state.pose, 36, 5.0, tick=now),
+                stack.device.state)
+            calls.pop()  # the reference summary above
+            sent = stack.data.poll(now)
+            assert sent and all(s == fresh for s in sent)
+        assert len(calls) == len(set(calls))
+        assert 200 + 1 <= len(calls) <= 400 - 39
+
+    def test_summary_carries_mode_set_mid_tick(self, monkeypatch):
+        # a surface inside d_stop: the tick enters safe mode before it reports
+        world = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                           circles=(Circle(0.55, 0.0, 0.35),))
+        calls = _count_summaries(monkeypatch)
+        stack = make_stack(world=world)
+        for now in range(3):
+            stack.controller.tick(now)
+            (summary,) = stack.data.poll(now)
+            assert summary.mode is stack.device.state.mode
+            assert summary.tick == now
+        assert summary.mode.value == "SAFE"
+        assert calls == [0]  # the robot never moved: one sweep, one digest

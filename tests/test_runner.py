@@ -212,3 +212,11 @@ class TestLiveMode:
         assert metrics.ticks == 150
         assert metrics.collisions == 0
         assert [e for e in trace if e.layer == "INSTINCT"]
+
+    def test_live_run_counts_a_collision(self):
+        # start 0.1 m from the circle's surface, inside the 0.15 m body radius
+        sc = replace(small_scenario(ticks=30), start=Pose2D(1.0, 0.8, 0.0))
+        trace, metrics = run_live(sc)
+        assert [e.kind for e in trace].count("collision") == 1
+        assert metrics.collisions == 1
+        assert metrics.collisions == run_sim(sc)[1].collisions
