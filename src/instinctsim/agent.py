@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bus import Channel, MemoryLog, MemoryRecord
+from .bus import Channel
 from .config import AgentParams, RobotParams
 from .messages import (
     Feedback,
@@ -26,14 +26,13 @@ from .messages import (
     HighCommand,
     HighKind,
     MalformedCommandError,
+    N_SECTORS,
     ScanSummary,
     sector_angle,
     sector_index,
 )
 from .trace import TraceRecorder
 from .world import wrap_angle
-
-N_SECTORS = 8
 
 
 class GoalKind(Enum):
@@ -57,7 +56,6 @@ class Task:
     y: float | None = None
     waypoints: tuple[tuple[float, float], ...] = ()
     state: TaskState = TaskState.PENDING
-    attempts: int = 0
     waypoint_idx: int = 0
 
     def goal_point(self) -> tuple[float, float] | None:
@@ -398,7 +396,6 @@ class DecisionAgent:
         command_channel: Channel,
         feedback_channel: Channel,
         data_channel: Channel,
-        memory: MemoryLog,
         recorder: TraceRecorder,
         robot: RobotParams,
         params: AgentParams,
@@ -415,7 +412,6 @@ class DecisionAgent:
         self.command_channel = command_channel
         self.feedback_channel = feedback_channel
         self.data_channel = data_channel
-        self.memory = memory
         self.recorder = recorder
         self.robot = robot
         self.params = params
@@ -463,7 +459,7 @@ class DecisionAgent:
         self_reflection(self.notes, feedback, self.summary,
                         self.sent_commands, now, self.params)
         task = self._current_task()
-        self._apply_terminal_feedback(feedback, task, now)
+        self._apply_terminal_feedback(feedback, task)
         task = self._current_task()
         if task is None:
             return
@@ -484,13 +480,9 @@ class DecisionAgent:
                 })
             self.sent_commands[cmd.id] = cmd
             self.recorder.emit("DECISION", "command_sent", cmd.to_payload())
-            self.memory.record(MemoryRecord(tick=now, origin_layer="DECISION",
-                                            payload={"event": "command_sent",
-                                                     "id": cmd.id}))
             if cmd.kind in (HighKind.MOVE_TO, HighKind.ROTATE_TO,
                             HighKind.FOLLOW_PATH, HighKind.STOP):
                 self.in_flight = cmd.id
-            task.attempts += 1
             self.command_channel.transmit(cmd, now)
 
     def _plan(self, task: Task, now: int
@@ -514,11 +506,10 @@ class DecisionAgent:
                                       self._next_cmd_id, now)
         except (MalformedCommandError, RuntimeError) as exc:
             self.recorder.emit("DECISION", "plan_rejected", {"reason": str(exc)})
-            task.attempts += 1
             return []
 
     def _apply_terminal_feedback(self, feedback: list[Feedback],
-                                 task: Task | None, now: int) -> None:
+                                 task: Task | None) -> None:
         for fb in feedback:
             if fb.command_id is None or not fb.terminal:
                 continue
@@ -527,18 +518,15 @@ class DecisionAgent:
             if task is None:
                 continue
             if fb.status is FeedbackStatus.COMPLETED:
-                self._advance_task(task, now)
+                self._advance_task(task)
             elif fb.status is FeedbackStatus.REFUSED:
                 if self.notes.consecutive_failures >= \
                         self.params.max_consecutive_failures:
                     task.state = TaskState.BLOCKED
                     self.recorder.emit("DECISION", "task_blocked",
                                        task.to_payload())
-                    self.memory.record(MemoryRecord(
-                        tick=now, origin_layer="DECISION",
-                        payload={"event": "task_blocked", "id": task.id}))
 
-    def _advance_task(self, task: Task, now: int) -> None:
+    def _advance_task(self, task: Task) -> None:
         pose = self.summary.pose
         if task.kind is GoalKind.HOLD:
             task.state = TaskState.COMPLETED
@@ -556,6 +544,3 @@ class DecisionAgent:
                     task.state = TaskState.COMPLETED  # single pass
         if task.state is TaskState.COMPLETED:
             self.recorder.emit("DECISION", "task_completed", task.to_payload())
-            self.memory.record(MemoryRecord(tick=now, origin_layer="DECISION",
-                                            payload={"event": "task_completed",
-                                                     "id": task.id}))

@@ -1,4 +1,4 @@
-"""Typed message channels between layers, plus the append-only memory log.
+"""Typed message channels between layers.
 
 Channels are the only cross-layer communication path. Delivery and drop
 decisions are fixed at send time from a seeded per-channel stream, so a run
@@ -12,12 +12,8 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-
-class MemoryOrderError(ValueError):
-    """Raised on an append that would break the memory log's tick order."""
 
 
 @dataclass
@@ -79,28 +75,3 @@ class Channel:
     def pending(self) -> int:
         with self._lock:
             return len(self._queue)
-
-
-@dataclass(frozen=True)
-class MemoryRecord:
-    tick: int
-    origin_layer: str  # "INSTINCT" or "DECISION"
-    payload: dict
-
-
-@dataclass
-class MemoryLog:
-    """Append-only event store shared by the instinct and decision layers."""
-
-    records: list[MemoryRecord] = field(default_factory=list)
-
-    def record(self, record: MemoryRecord) -> None:
-        if self.records and record.tick < self.records[-1].tick:
-            raise MemoryOrderError(
-                f"append at tick {record.tick} after tick {self.records[-1].tick}"
-            )
-        self.records.append(record)
-
-    def query(self, tick_lo: int, tick_hi: int) -> list[MemoryRecord]:
-        """All records with tick in [tick_lo, tick_hi], in append order."""
-        return [r for r in self.records if tick_lo <= r.tick <= tick_hi]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bus import Channel, MemoryLog, MemoryRecord
+from .bus import Channel
 from .config import InstinctParams, RobotParams
 from .messages import (
     Feedback,
@@ -38,6 +38,7 @@ from .messages import (
     LowCommand,
     LowKind,
     MalformedCommandError,
+    N_SECTORS,
     SafetyVerdict,
     ScanSummary,
     VerdictReason,
@@ -45,8 +46,6 @@ from .messages import (
 )
 from .trace import TraceRecorder
 from .world import DeviceSim, LidarScan, Mode, Pose2D, Rect, RobotState, wrap_angle
-
-N_SECTORS = 8
 
 # Per-beam-count geometry shared by summarize/front checks: wrapped relative
 # bearings, the 8-sector bucket of each beam, and the front (+-45 deg) mask.
@@ -249,23 +248,9 @@ def safety_check(
     return SafetyVerdict(False, predicted, reason)
 
 
-# Motion intents produced by command conversion.
-_SET_WHEELS = "SET_WHEELS"
-_STOP_ALL = "STOP_ALL"
-_ACQUIRE_SCAN = "ACQUIRE_SCAN"
-
-
-def _steer(pose: Pose2D, tx: float, ty: float, v_cap: float,
-           robot: RobotParams, params: InstinctParams) -> tuple[float, float]:
-    """Proportional heading/distance law -> wheel speeds, jointly scaled to
-    the wheel limit. Translation only engages once roughly facing the goal."""
-    heading_err = wrap_angle(math.atan2(ty - pose.y, tx - pose.x) - pose.theta)
-    dist = math.hypot(tx - pose.x, ty - pose.y)
-    omega = max(-params.omega_max, min(params.omega_max, params.k_theta * heading_err))
-    if abs(heading_err) < math.pi / 4.0:
-        v = max(0.0, min(params.k_d * dist, v_cap))
-    else:
-        v = 0.0
+def _mix(v: float, omega: float, robot: RobotParams) -> tuple[float, float]:
+    """Differential-drive mixing of (v, omega) into wheel speeds, jointly
+    scaled down so the faster wheel stays within the wheel limit."""
     v_left = v - omega * robot.axle / 2.0
     v_right = v + omega * robot.axle / 2.0
     peak = max(abs(v_left), abs(v_right))
@@ -276,25 +261,39 @@ def _steer(pose: Pose2D, tx: float, ty: float, v_cap: float,
     return v_left, v_right
 
 
+def _steer(pose: Pose2D, tx: float, ty: float, v_cap: float,
+           robot: RobotParams, params: InstinctParams) -> tuple[float, float]:
+    """Proportional heading/distance law -> wheel speeds. Translation only
+    engages once roughly facing the goal."""
+    heading_err = wrap_angle(math.atan2(ty - pose.y, tx - pose.x) - pose.theta)
+    dist = math.hypot(tx - pose.x, ty - pose.y)
+    omega = max(-params.omega_max, min(params.omega_max, params.k_theta * heading_err))
+    if abs(heading_err) < math.pi / 4.0:
+        v = max(0.0, min(params.k_d * dist, v_cap))
+    else:
+        v = 0.0
+    return _mix(v, omega, robot)
+
+
 def convert(
     cmd: HighCommand,
     pose: Pose2D,
     robot: RobotParams,
     params: InstinctParams,
     waypoint_idx: int = 0,
-) -> tuple[tuple | None, bool, int]:
+) -> tuple[tuple[LowKind, float, float] | None, bool, int]:
     """Closed-loop per-tick translation of one high command.
 
-    Returns (intent, done, next_waypoint_idx) where intent is one of
-    ("SET_WHEELS", v_left, v_right), ("STOP_ALL",), ("ACQUIRE_SCAN",) or
-    None. Called once per tick until done, so each emitted primitive covers
-    a single tick and the safety horizon stays tight.
+    Returns (intent, done, next_waypoint_idx) where intent is a
+    (LowKind, v_left, v_right) primitive (wheel speeds 0.0 for STOP_ALL and
+    ACQUIRE_SCAN) or None. Called once per tick until done, so each emitted
+    primitive covers a single tick and the safety horizon stays tight.
     """
     kind = cmd.kind
     if kind is HighKind.STOP:
-        return (_STOP_ALL,), True, waypoint_idx
+        return (LowKind.STOP_ALL, 0.0, 0.0), True, waypoint_idx
     if kind is HighKind.QUERY_STATUS:
-        return (_ACQUIRE_SCAN,), True, waypoint_idx
+        return (LowKind.ACQUIRE_SCAN, 0.0, 0.0), True, waypoint_idx
     if kind is HighKind.ROTATE_TO:
         err = wrap_angle(cmd.theta - pose.theta)
         if abs(err) <= params.eps_heading:
@@ -304,13 +303,13 @@ def convert(
         half = omega * robot.axle / 2.0
         if abs(half) > robot.v_wheel_max:
             half = math.copysign(robot.v_wheel_max, half)
-        return (_SET_WHEELS, -half, half), False, waypoint_idx
+        return (LowKind.SET_WHEELS, -half, half), False, waypoint_idx
     if kind is HighKind.MOVE_TO:
         if math.hypot(cmd.x - pose.x, cmd.y - pose.y) <= params.eps_pos:
             return None, True, waypoint_idx
         v_cap = cmd.speed if cmd.speed is not None else robot.v_wheel_max
         vl, vr = _steer(pose, cmd.x, cmd.y, v_cap, robot, params)
-        return (_SET_WHEELS, vl, vr), False, waypoint_idx
+        return (LowKind.SET_WHEELS, vl, vr), False, waypoint_idx
     # FOLLOW_PATH: MOVE_TO each waypoint in order
     while waypoint_idx < len(cmd.waypoints):
         tx, ty = cmd.waypoints[waypoint_idx]
@@ -319,7 +318,7 @@ def convert(
             continue
         v_cap = cmd.speed if cmd.speed is not None else robot.v_wheel_max
         vl, vr = _steer(pose, tx, ty, v_cap, robot, params)
-        return (_SET_WHEELS, vl, vr), False, waypoint_idx
+        return (LowKind.SET_WHEELS, vl, vr), False, waypoint_idx
     return None, True, waypoint_idx
 
 
@@ -343,14 +342,7 @@ def roam_intent(
         omega = rng.uniform(-0.8, 0.8)
         v = 0.6 * robot.v_wheel_max
     omega = max(-params.omega_max, min(params.omega_max, omega))
-    v_left = v - omega * robot.axle / 2.0
-    v_right = v + omega * robot.axle / 2.0
-    peak = max(abs(v_left), abs(v_right))
-    if peak > robot.v_wheel_max:
-        scale = robot.v_wheel_max / peak
-        v_left *= scale
-        v_right *= scale
-    return v_left, v_right
+    return _mix(v, omega, robot)
 
 
 class _Percept(NamedTuple):
@@ -377,7 +369,6 @@ class InstinctController:
         command_channel: Channel,
         feedback_channel: Channel,
         data_channel: Channel,
-        memory: MemoryLog,
         recorder: TraceRecorder,
         params: InstinctParams,
         physics_dt: float,
@@ -387,7 +378,6 @@ class InstinctController:
         self.command_channel = command_channel
         self.feedback_channel = feedback_channel
         self.data_channel = data_channel
-        self.memory = memory
         self.recorder = recorder
         self.params = params
         self.physics_dt = physics_dt
@@ -413,10 +403,6 @@ class InstinctController:
     def _send_feedback(self, fb: Feedback) -> None:
         self._emit("INSTINCT", "feedback", fb.to_payload())
         self.feedback_channel.transmit(fb, fb.tick)
-
-    def _log_memory(self, now: int, payload: dict) -> None:
-        self.memory.record(MemoryRecord(tick=now, origin_layer="INSTINCT",
-                                        payload=payload))
 
     def device_status(self, state: RobotState, front_min: float
                       ) -> tuple[bool, str]:
@@ -467,7 +453,6 @@ class InstinctController:
         if self.device.state.mode is not Mode.SAFE:
             self.device.set_mode(Mode.SAFE)
             self._emit("INSTINCT", "safe_mode_entered", {"reason": reason})
-            self._log_memory(now, {"event": "safe_mode_entered", "reason": reason})
         self.safe_streak = 0
         self.device.stop()
         self._cancel_pending(now)
@@ -487,8 +472,6 @@ class InstinctController:
                                              "MALFORMED", now, verdict))
                 continue
             self._emit("INSTINCT", "command_received", cmd.to_payload())
-            self._log_memory(now, {"event": "command_received", "id": cmd.id,
-                                   "kind": cmd.kind.value})
             self.queue.append(cmd)
             self._send_feedback(Feedback(cmd.id, FeedbackStatus.ACCEPTED,
                                          "QUEUED", now))
@@ -502,9 +485,6 @@ class InstinctController:
             "reason": verdict.reason.value,
             "predicted_min_clearance": verdict.predicted_min_clearance,
         })
-        self._log_memory(now, {"event": "refusal", "low_id": low.id,
-                               "parent_id": low.parent_id,
-                               "reason": verdict.reason.value})
         if low.parent_id is not None:
             self._send_feedback(Feedback(low.parent_id, FeedbackStatus.REFUSED,
                                          verdict.reason.value, now, verdict))
@@ -563,7 +543,6 @@ class InstinctController:
             if self.safe_streak >= self.params.safe_hold_ticks:
                 self.device.set_mode(Mode.NORMAL)
                 self._emit("INSTINCT", "safe_mode_exited", {})
-                self._log_memory(now, {"event": "safe_mode_exited"})
             else:
                 self.device.stop()
             self._answer_while_safe_mode(now)
@@ -665,15 +644,9 @@ class InstinctController:
                                              "DONE", now))
                 self.active = None
             return False
-        if intent[0] == _SET_WHEELS:
-            low = LowCommand(self._next_low_id(), active.cmd.id,
-                             LowKind.SET_WHEELS,
-                             intent[1] * scale, intent[2] * scale)
-        elif intent[0] == _STOP_ALL:
-            low = LowCommand(self._next_low_id(), active.cmd.id, LowKind.STOP_ALL)
-        else:
-            low = LowCommand(self._next_low_id(), active.cmd.id,
-                             LowKind.ACQUIRE_SCAN)
+        kind, vl, vr = intent
+        low = LowCommand(self._next_low_id(), active.cmd.id, kind,
+                         vl * scale, vr * scale)
         verdict = self.safety_check(low, now)
         self._emit("INSTINCT", "verdict", {
             "low_id": low.id, "parent_id": active.cmd.id, "safe": verdict.safe,

@@ -13,6 +13,8 @@ from enum import Enum
 
 from .world import Mode, Pose2D, wrap_angle
 
+N_SECTORS = 8  # sectors of a ScanSummary; sector 0 is centered on the heading
+
 
 class MalformedCommandError(ValueError):
     """A command failed validation; the whole batch it came in is rejected."""
@@ -198,12 +200,12 @@ class ScanSummary:
         }
 
 
-def sector_index(bearing: float, n_sectors: int = 8) -> int:
+def sector_index(bearing: float, n_sectors: int = N_SECTORS) -> int:
     """Sector of a robot-frame bearing; sector k is centered at k * (2pi/n)."""
     width = 2.0 * math.pi / n_sectors
     return int(round(bearing / width)) % n_sectors
 
 
-def sector_angle(index: int, n_sectors: int = 8) -> float:
+def sector_angle(index: int, n_sectors: int = N_SECTORS) -> float:
     """Robot-frame bearing of a sector center, wrapped to (-pi, pi]."""
     return wrap_angle(index * 2.0 * math.pi / n_sectors)

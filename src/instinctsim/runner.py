@@ -1,22 +1,25 @@
 """Run harness: the external layer, the tick loop, and metrics assembly.
 
-Deterministic mode advances all layers on logical ticks inside one thread:
-per tick the device steps, the instinct runs, and the agent wakes at its
-period. Live mode gives the instinct and agent their own threads paced by
-the wall clock; only channels cross threads.
+Both run modes drive the same two steps of a ``Runtime``. ``step(now)``
+issues the tasks due at ``now`` (external layer), steps the device and runs
+the instinct; ``agent_step(now)`` wakes the agent unless it is dead, and an
+exception out of the agent is its death at that tick. Deterministic mode
+calls both on logical ticks inside one thread, the agent at its period.
+Live mode calls ``step`` from an instinct thread paced by the wall clock
+and ``agent_step`` from an agent thread; only channels cross threads.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .agent import DecisionAgent, GoalKind, LlmBackend, Task
-from .bus import Channel, MemoryLog
+from .bus import Channel
 from .config import AgentParams, derive_rng
 from .instinct import InstinctController
 from .scenario import Scenario, TaskSpec
@@ -26,15 +29,71 @@ from .world import DeviceSim, RobotState
 
 @dataclass
 class Runtime:
-    """Everything one run needs, fully built from a scenario."""
+    """Everything one run needs, fully built from a scenario, and the loop
+    state both run modes advance: tasks issued so far, the collision latch,
+    the instinct tick times and the tick the agent died at (if any)."""
 
     scenario: Scenario
     device: DeviceSim
     instinct: InstinctController
     agent: DecisionAgent
     recorder: TraceRecorder
-    memory: MemoryLog
     task_channel: Channel
+    death_tick: int | None = None
+    issued: int = 0
+    collided: bool = False
+    tick_times: list[int] = field(default_factory=list)
+
+    def agent_alive(self, now: int) -> bool:
+        return self.death_tick is None or now < self.death_tick
+
+    def step(self, now: int) -> None:
+        """External, device and instinct layers for tick ``now``: issue the
+        due tasks, step the physics under the held wheel command (the DEVICE
+        state event carries the step's ground-truth clearance; the collision
+        event marks the tick the latch first sets), then the timed instinct
+        tick."""
+        sc = self.scenario
+        self.recorder.begin_tick(now)
+        for spec in sc.tasks:
+            if spec.issue_tick == now:
+                self.issued += 1
+                task = _task_from_spec(spec, self.issued)
+                self.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
+                self.task_channel.transmit(task, now)
+        state = self.device.step(sc.dt)
+        self.recorder.emit("DEVICE", "state", {
+            "x": state.pose.x, "y": state.pose.y, "theta": state.pose.theta,
+            "v_left": state.v_left, "v_right": state.v_right,
+            "load": state.load, "clearance": self.device.ground_truth_clearance(),
+            "collided": state.collided,
+        })
+        if state.collided and not self.collided:
+            self.recorder.emit("DEVICE", "collision",
+                               {"x": state.pose.x, "y": state.pose.y})
+        self.collided = state.collided
+        t0 = time.perf_counter_ns()
+        self.instinct.tick(now)
+        self.tick_times.append(time.perf_counter_ns() - t0)
+
+    def agent_step(self, now: int) -> None:
+        """Decision layer at ``now`` unless dead. An exception out of the
+        agent is traced and kills it at ``now``, as ``kill_tick`` would."""
+        if not self.agent_alive(now):
+            return
+        try:
+            self.agent.tick(now)
+        except Exception as exc:  # noqa: BLE001 - any agent fault is its death
+            self.recorder.emit("DECISION", "agent_crashed",
+                               {"error": f"{type(exc).__name__}: {exc}"})
+            self.death_tick = now
+
+    def finished(self, now: int) -> bool:
+        """Every task issued, received and terminal while the agent lives."""
+        return (self.agent_alive(now)
+                and self.issued == len(self.scenario.tasks)
+                and not self.task_channel.pending()
+                and self.agent.all_tasks_terminal())
 
 
 def build_runtime(
@@ -44,7 +103,6 @@ def build_runtime(
 ) -> Runtime:
     seed = scenario.seed
     recorder = TraceRecorder(store=store_trace, sinks=sinks)
-    memory = MemoryLog()
     noise_rng = (derive_rng(seed, "lidar_noise")
                  if scenario.lidar.noise_std > 0 else None)
     device = DeviceSim(
@@ -79,7 +137,6 @@ def build_runtime(
         command_channel=command_channel,
         feedback_channel=feedback_channel,
         data_channel=data_channel,
-        memory=memory,
         recorder=recorder,
         params=scenario.instinct,
         physics_dt=scenario.dt,
@@ -91,7 +148,6 @@ def build_runtime(
         command_channel=command_channel,
         feedback_channel=feedback_channel,
         data_channel=data_channel,
-        memory=memory,
         recorder=recorder,
         robot=scenario.robot,
         params=AgentParams(period_ticks=scenario.agent.period_ticks),
@@ -103,8 +159,8 @@ def build_runtime(
              if scenario.agent.backend == "llm" else None),
         lidar_max_range=scenario.lidar.max_range,
     )
-    return Runtime(scenario, device, instinct, agent, recorder, memory,
-                   task_channel)
+    return Runtime(scenario, device, instinct, agent, recorder, task_channel,
+                   death_tick=scenario.agent.kill_tick)
 
 
 def _task_from_spec(spec: TaskSpec, task_id: int) -> Task:
@@ -113,23 +169,6 @@ def _task_from_spec(spec: TaskSpec, task_id: int) -> Task:
     if spec.kind == "PATROL":
         return Task(task_id, GoalKind.PATROL, waypoints=spec.waypoints)
     return Task(task_id, GoalKind.HOLD)
-
-
-def _device_step(rt: Runtime, dt: float, was_collided: bool) -> bool:
-    """Device layer: physics under the held wheel command, the DEVICE state
-    event with the step's own ground-truth clearance, and the collision
-    event on the tick the latch first sets. Returns the collided latch."""
-    state = rt.device.step(dt)
-    rt.recorder.emit("DEVICE", "state", {
-        "x": state.pose.x, "y": state.pose.y, "theta": state.pose.theta,
-        "v_left": state.v_left, "v_right": state.v_right,
-        "load": state.load, "clearance": rt.device.ground_truth_clearance(),
-        "collided": state.collided,
-    })
-    if state.collided and not was_collided:
-        rt.recorder.emit("DEVICE", "collision",
-                         {"x": state.pose.x, "y": state.pose.y})
-    return state.collided
 
 
 def _timing_stats(samples_ns: list[int]) -> dict:
@@ -145,6 +184,12 @@ def _timing_stats(samples_ns: list[int]) -> dict:
     }
 
 
+def _metrics(rt: Runtime, metrics_acc: MetricsAccumulator) -> RunMetrics:
+    metrics = metrics_acc.metrics
+    metrics.timing = _timing_stats(rt.tick_times)
+    return metrics
+
+
 def run_sim(
     scenario: Scenario,
     store_trace: bool = True,
@@ -152,41 +197,20 @@ def run_sim(
 ) -> tuple[list[TraceEvent], RunMetrics]:
     """Deterministic run; returns the trace (empty if not stored) and metrics.
 
-    Per tick: inject due tasks, step the device, run the instinct, then the
-    agent at its period (unless killed). The run ends at the tick budget or
-    as soon as every issued task is terminal.
+    Per tick: ``step``, then ``agent_step`` at the agent period. The run
+    ends at the tick budget or as soon as every task is issued, received
+    and terminal while the agent lives.
     """
     metrics_acc = MetricsAccumulator()
     all_sinks = [metrics_acc] + list(sinks or [])
     rt = build_runtime(scenario, store_trace=store_trace, sinks=all_sinks)
-    issued = 0
-    was_collided = False
-    tick_times: list[int] = []
     for now in range(scenario.ticks):
-        rt.recorder.begin_tick(now)
-        # external layer: tasks scheduled for this tick
-        for spec in scenario.tasks:
-            if spec.issue_tick == now:
-                issued += 1
-                task = _task_from_spec(spec, issued)
-                rt.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
-                rt.task_channel.transmit(task, now)
-        was_collided = _device_step(rt, scenario.dt, was_collided)
-        # instinct layer, instrumented for the tick budget
-        t0 = time.perf_counter_ns()
-        rt.instinct.tick(now)
-        tick_times.append(time.perf_counter_ns() - t0)
-        # decision layer at its own cadence, unless dead
-        agent_alive = (scenario.agent.kill_tick is None
-                       or now < scenario.agent.kill_tick)
-        if agent_alive and now % scenario.agent.period_ticks == 0:
-            rt.agent.tick(now)
-        if (agent_alive and issued == len(scenario.tasks)
-                and rt.agent.all_tasks_terminal()):
+        rt.step(now)
+        if now % scenario.agent.period_ticks == 0:
+            rt.agent_step(now)
+        if rt.finished(now):
             break
-    metrics = metrics_acc.metrics
-    metrics.timing = _timing_stats(tick_times)
-    return rt.recorder.events, metrics
+    return rt.recorder.events, _metrics(rt, metrics_acc)
 
 
 def run_live(
@@ -196,29 +220,25 @@ def run_live(
 ) -> tuple[list[TraceEvent], RunMetrics]:
     """Wall-clock run: instinct and agent in separate threads.
 
-    The instinct thread owns the devices and the tick counter; the agent
-    thread paces itself on the shared counter; the main thread plays the
-    external layer. Excluded from determinism guarantees by design.
+    The instinct thread steps every tick on a ``dt`` deadline and publishes
+    the last completed tick; the agent thread wakes once per agent period
+    and steps the agent at that tick. Excluded from determinism guarantees
+    by design.
     """
     metrics_acc = MetricsAccumulator()
     all_sinks = [metrics_acc] + list(sinks or [])
     rt = build_runtime(scenario, store_trace=store_trace, sinks=all_sinks)
     stop = threading.Event()
-    shared_tick = {"now": -1}
-    tick_times: list[int] = []
+    last_tick = -1
 
     def instinct_loop() -> None:
+        nonlocal last_tick
         next_deadline = time.monotonic()
-        was_collided = False
         for now in range(scenario.ticks):
             if stop.is_set():
                 break
-            rt.recorder.begin_tick(now)
-            shared_tick["now"] = now
-            was_collided = _device_step(rt, scenario.dt, was_collided)
-            t0 = time.perf_counter_ns()
-            rt.instinct.tick(now)
-            tick_times.append(time.perf_counter_ns() - t0)
+            rt.step(now)
+            last_tick = now
             next_deadline += scenario.dt
             delay = next_deadline - time.monotonic()
             if delay > 0:
@@ -228,13 +248,10 @@ def run_live(
     def agent_loop() -> None:
         period_s = scenario.agent.period_ticks * scenario.dt
         while not stop.is_set():
-            now = shared_tick["now"]
+            now = last_tick
             if now >= 0:
-                if (scenario.agent.kill_tick is not None
-                        and now >= scenario.agent.kill_tick):
-                    return
-                rt.agent.tick(now)
-                if rt.agent.all_tasks_terminal():
+                rt.agent_step(now)
+                if rt.finished(now):
                     stop.set()
                     return
             time.sleep(period_s)
@@ -243,19 +260,6 @@ def run_live(
     agent_thread = threading.Thread(target=agent_loop, daemon=True)
     instinct_thread.start()
     agent_thread.start()
-    # external layer: issue tasks at (approximate) wall-clock issue times
-    issued = 0
-    for spec in sorted(scenario.tasks, key=lambda s: s.issue_tick):
-        while shared_tick["now"] < spec.issue_tick and not stop.is_set():
-            time.sleep(scenario.dt)
-        if stop.is_set():
-            break
-        issued += 1
-        rt.task_channel.transmit(_task_from_spec(spec, issued),
-                                 max(shared_tick["now"], 0))
     instinct_thread.join()
-    stop.set()
     agent_thread.join(timeout=5.0)
-    metrics = metrics_acc.metrics
-    metrics.timing = _timing_stats(tick_times)
-    return rt.recorder.events, metrics
+    return rt.recorder.events, _metrics(rt, metrics_acc)

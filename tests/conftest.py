@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from instinctsim.bus import Channel, MemoryLog
+from instinctsim.bus import Channel
 from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import InstinctController
 from instinctsim.trace import TraceRecorder
@@ -35,7 +35,6 @@ def make_stack(
         command_channel=command,
         feedback_channel=feedback,
         data_channel=data,
-        memory=MemoryLog(),
         recorder=recorder,
         params=params or InstinctParams(),
         physics_dt=PHYSICS_DT,

@@ -22,7 +22,7 @@ from instinctsim.agent import (
     plan_rule,
     self_reflection,
 )
-from instinctsim.bus import Channel, MemoryLog
+from instinctsim.bus import Channel
 from instinctsim.config import AgentParams, RobotParams
 from instinctsim.messages import (
     Feedback,
@@ -67,7 +67,6 @@ def make_agent(backend="rule", probability=0.0, seed=0):
         command_channel=cmd_ch,
         feedback_channel=fb_ch,
         data_channel=data_ch,
-        memory=MemoryLog(),
         recorder=recorder,
         robot=ROBOT,
         params=PARAMS,

@@ -1,10 +1,10 @@
-"""Channel and memory-log behavior: latency, drops, ordering, replay."""
+"""Channel behavior: latency, drops, ordering, replay."""
 
 import random
 
 import pytest
 
-from instinctsim.bus import Channel, MemoryLog, MemoryOrderError, MemoryRecord
+from instinctsim.bus import Channel
 
 
 class TestChannel:
@@ -74,27 +74,3 @@ class TestChannel:
             Channel("c", drop_probability=1.5)
         with pytest.raises(ValueError):
             Channel("c", drop_probability=0.5)  # lossy without rng
-
-
-class TestMemoryLog:
-    def test_append_and_query(self):
-        log = MemoryLog()
-        log.record(MemoryRecord(tick=3, origin_layer="INSTINCT", payload={"k": 1}))
-        assert len(log.query(0, 10)) == 1
-
-    def test_empty_range(self):
-        log = MemoryLog()
-        log.record(MemoryRecord(tick=3, origin_layer="INSTINCT", payload={}))
-        assert log.query(4, 10) == []
-
-    def test_out_of_order_rejected(self):
-        log = MemoryLog()
-        log.record(MemoryRecord(tick=5, origin_layer="DECISION", payload={}))
-        with pytest.raises(MemoryOrderError):
-            log.record(MemoryRecord(tick=4, origin_layer="DECISION", payload={}))
-
-    def test_equal_tick_allowed_in_order(self):
-        log = MemoryLog()
-        log.record(MemoryRecord(tick=5, origin_layer="INSTINCT", payload={"a": 1}))
-        log.record(MemoryRecord(tick=5, origin_layer="DECISION", payload={"a": 2}))
-        assert [r.payload["a"] for r in log.query(5, 5)] == [1, 2]

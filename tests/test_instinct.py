@@ -285,15 +285,15 @@ class TestConvert:
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert not done
         kind, vl, vr = intent
-        assert kind == "SET_WHEELS"
+        assert kind is LowKind.SET_WHEELS
         assert (vl, vr) == pytest.approx((0.5, 0.5))
 
     def test_target_behind_rotates_in_place(self):
         intent, done, _ = convert(
             HighCommand(1, HighKind.MOVE_TO, 0, x=-1.0, y=0.0),
             Pose2D(0, 0, 0), ROBOT, PARAMS)
-        _, vl, vr = intent
-        assert not done
+        kind, vl, vr = intent
+        assert not done and kind is LowKind.SET_WHEELS
         assert vl == pytest.approx(-vr)
         assert abs((vr - vl) / ROBOT.axle) == pytest.approx(PARAMS.omega_max)
 
@@ -307,7 +307,8 @@ class TestConvert:
         intent, done, _ = convert(
             HighCommand(1, HighKind.ROTATE_TO, 0, theta=1.0),
             Pose2D(0, 0, 0), ROBOT, PARAMS)
-        _, vl, vr = intent
+        kind, vl, vr = intent
+        assert kind is LowKind.SET_WHEELS
         assert not done and vl == pytest.approx(-vr) and vr > 0
         intent, done, _ = convert(
             HighCommand(1, HighKind.ROTATE_TO, 0, theta=0.03),
@@ -317,17 +318,17 @@ class TestConvert:
     def test_stop_and_query(self):
         intent, done, _ = convert(HighCommand(1, HighKind.STOP, 0),
                                   Pose2D(0, 0, 0), ROBOT, PARAMS)
-        assert intent == ("STOP_ALL",) and done
+        assert intent == (LowKind.STOP_ALL, 0.0, 0.0) and done
         intent, done, _ = convert(HighCommand(1, HighKind.QUERY_STATUS, 0),
                                   Pose2D(0, 0, 0), ROBOT, PARAMS)
-        assert intent == ("ACQUIRE_SCAN",) and done
+        assert intent == (LowKind.ACQUIRE_SCAN, 0.0, 0.0) and done
 
     def test_follow_path_advances_waypoints(self):
         cmd = HighCommand(1, HighKind.FOLLOW_PATH, 0,
                           waypoints=((0.02, 0.0), (1.0, 0.0)))
         intent, done, idx = convert(cmd, Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert idx == 1 and not done
-        assert intent[0] == "SET_WHEELS"
+        assert intent[0] is LowKind.SET_WHEELS
         intent, done, idx = convert(cmd, Pose2D(0.98, 0.0, 0.0), ROBOT,
                                     PARAMS, waypoint_idx=idx)
         assert done and intent is None
@@ -435,6 +436,7 @@ class TestRefusal:
         assert stack.device.cmd_v_right == 0.0
         refusals = [e for e in events if e.kind == "refusal"]
         assert len(refusals) == 1
+        assert refusals[0].layer == "INSTINCT"
 
     def test_refusal_feedback_carries_verdict(self):
         stack = self.make_refusing_stack()
@@ -447,16 +449,6 @@ class TestRefusal:
         assert fb[0].verdict is not None
         assert fb[0].verdict.predicted_min_clearance < PARAMS.d_min
         assert fb[0].reason == "OBSTACLE_PREDICTED"
-
-    def test_refusal_logged_to_memory_as_instinct(self):
-        stack = self.make_refusing_stack()
-        stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=2.5, y=0.0), 0)
-        stack.controller.tick(0)
-        entries = [r for r in stack.controller.memory.records
-                   if r.payload.get("event") == "refusal"]
-        assert len(entries) == 1
-        assert entries[0].origin_layer == "INSTINCT"
 
     def test_malformed_command_refused(self, stack):
         bad = HighCommand(7, HighKind.MOVE_TO, 0, x=math.nan, y=0.0)

@@ -1,15 +1,19 @@
 """End-to-end run tests: determinism, dropout, attribution, CLI, live mode."""
 
+import hashlib
 import json
 from dataclasses import replace
 import math
+from pathlib import Path
 
+from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
 from instinctsim.runner import run_live, run_sim
 from instinctsim.scenario import (
     AgentSpec,
     Scenario,
     TaskSpec,
+    load_scenario,
     parse_scenario,
     random_scenario,
     save_scenario,
@@ -21,6 +25,8 @@ from instinctsim.trace import (
     write_trace,
 )
 from instinctsim.world import Circle, Pose2D, Rect, WorldModel
+
+DEMO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
 
 def small_scenario(seed=0, ticks=600, backend="rule", probability=0.0):
@@ -62,6 +68,32 @@ class TestDeterminism:
                                                 probability=0.4, seed=3))
         assert recompute_metrics(trace).replay_dict() == metrics.replay_dict()
 
+    def test_pinned_trace_digests(self, tmp_path):
+        """The deterministic traces of two fixed runs, pinned by sha256.
+
+        A change that only restructures code must leave these bytes alone.
+        The pins are platform-specific: the trace carries floats from libm
+        (sin, cos, atan2), so another libm may round differently. A change
+        that means to alter traces updates the pins and names the trace
+        change in CHANGES.md.
+        """
+        hallucinating = replace(
+            small_scenario(backend="hallucinate", probability=0.3),
+            agent=AgentSpec(backend="hallucinate",
+                            hallucination_probability=0.3, kill_tick=120))
+        pins = {
+            "demo": (load_scenario(str(DEMO_SCENARIO)),
+                     "4817b02240e0aa71645cae2a8d3a6f5e"
+                     "3edd9c2e42377c383e3abe4a1eb88b67"),
+            "hallucinate_kill120": (hallucinating,
+                                    "f2a3a91928d1ddf781fb85ec77474410"
+                                    "63bab16fbbf90c4da41ffa1151d70ffe"),
+        }
+        for name, (sc, pinned) in pins.items():
+            path = tmp_path / f"{name}.jsonl"
+            write_trace(run_sim(sc)[0], str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, name
+
     def test_trace_strictly_ordered(self):
         trace, _ = run_sim(small_scenario())
         keys = [(e.tick, e.seq) for e in trace]
@@ -81,6 +113,36 @@ class TestAgentDropout:
         assert metrics.collisions == 0
         decision_ticks = [e.tick for e in trace if e.layer == "DECISION"]
         assert all(t < 100 for t in decision_ticks)
+
+    def test_agent_exception_is_agent_death(self, monkeypatch):
+        # the third plan raises: the agent dies at that tick, the run goes on
+        calls = []
+        plan_rule = agent_module.plan_rule
+
+        def failing_plan_rule(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ValueError("planner fault")
+            return plan_rule(*args, **kwargs)
+
+        monkeypatch.setattr(agent_module, "plan_rule", failing_plan_rule)
+        sc = replace(small_scenario(ticks=400),
+                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(0, "HOLD"),
+                            TaskSpec(0, "GOTO", x=3.0, y=-2.0)))
+        auditor = TraceAuditor()
+        trace, metrics = run_sim(sc, sinks=[auditor])
+        assert [e.tick for e in trace
+                if e.layer == "INSTINCT" and e.kind == "status"] == \
+            list(range(400))
+        crashes = [i for i, e in enumerate(trace) if e.kind == "agent_crashed"]
+        assert len(crashes) == 1
+        crash = trace[crashes[0]]
+        assert crash.layer == "DECISION"
+        assert crash.payload == {"error": "ValueError: planner fault"}
+        assert not [e for e in trace[crashes[0] + 1:] if e.layer == "DECISION"]
+        assert metrics.collisions == 0
+        assert auditor.finish() == []
+        assert recompute_metrics(trace).replay_dict() == metrics.replay_dict()
 
     def test_kill_at_zero_equals_no_agent_events(self):
         sc = small_scenario(ticks=200)
@@ -118,10 +180,17 @@ class TestRunLevelInvariants:
         assert metrics.tasks_completed == 1
         assert metrics.ticks < 6000
 
+    def test_task_issued_between_agent_wakes_is_run(self):
+        # the first task is done when the second is issued at tick 130, off
+        # the 50-tick agent period: the run waits for the agent to take it
+        sc = replace(small_scenario(ticks=600),
+                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(130, "HOLD")))
+        _, metrics = run_sim(sc)
+        assert metrics.tasks_completed == 2
+
     def test_channel_conservation_under_drops(self):
         # every sent message is exactly one of delivered, dropped (traced at
         # BUS), or still pending in the queue when the run stops
-        from instinctsim.agent import GoalKind, Task
         from instinctsim.runner import build_runtime
 
         sc = small_scenario(seed=4, ticks=800)
@@ -130,15 +199,9 @@ class TestRunLevelInvariants:
                                              data_drop=0.2)})
         rt = build_runtime(sc)
         for now in range(sc.ticks):
-            rt.recorder.begin_tick(now)
-            for spec in sc.tasks:
-                if spec.issue_tick == now:
-                    rt.task_channel.transmit(
-                        Task(1, GoalKind.GOTO, x=spec.x, y=spec.y), now)
-            rt.device.step(sc.dt)
-            rt.instinct.tick(now)
+            rt.step(now)
             if now % sc.agent.period_ticks == 0:
-                rt.agent.tick(now)
+                rt.agent_step(now)
         traced_drops = {}
         for e in rt.recorder.events:
             if e.layer == "BUS" and e.kind == "dropped":
@@ -220,3 +283,11 @@ class TestLiveMode:
         assert [e.kind for e in trace].count("collision") == 1
         assert metrics.collisions == 1
         assert metrics.collisions == run_sim(sc)[1].collisions
+
+    def test_live_run_issues_every_task(self):
+        # the second task is issued after the first one completes
+        sc = replace(small_scenario(ticks=300),
+                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(150, "HOLD")))
+        trace, metrics = run_live(sc)
+        assert [e.kind for e in trace].count("task_issued") == 2
+        assert metrics.tasks_completed == 2
