@@ -16,10 +16,22 @@ robot stands still a noise-free device returns scans sharing one read-only
 ranges array (see ``DeviceSim``); such a scan reuses the previous belief
 points, front minimum and digest, and only the belief's ``built_tick``
 advances. Shared arrays are read-only.
+
+The per-tick kernels keep NumPy calls few and give bit-identical results
+to their straightforward forms (frozen in
+``tests/test_perception_equivalence.py``). The sector minima are one
+``np.minimum.reduceat`` over the beams grouped by sector, cached per beam
+count; a minimum is exact in any order. The belief points are written into
+one preallocated array with the same multiply and add per coordinate.
+``predict_trajectory`` runs a hold loop, where v, omega and the arc radius
+are computed once because the wheel speeds do not change, then a braking
+loop; each sample takes the same operations in the same order as one loop
+recomputing everything per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -47,44 +59,50 @@ from .messages import (
 from .trace import TraceRecorder
 from .world import DeviceSim, LidarScan, Mode, Pose2D, Rect, RobotState, wrap_angle
 
-# Per-beam-count geometry shared by summarize/front checks: wrapped relative
-# bearings, the 8-sector bucket of each beam, and the front (+-45 deg) mask.
-_BEAM_CACHE: dict[int, tuple[np.ndarray, list[np.ndarray], np.ndarray]] = {}
+
+class _BeamGeometry(NamedTuple):
+    """Per-beam-count geometry shared by the scan digest functions."""
+
+    bearing: list[float]  # each beam's wrapped bearing relative to the heading
+    order: np.ndarray     # beam indices grouped by sector, sectors ascending
+    starts: np.ndarray    # where each non-empty sector's group begins in order
+    empty: tuple[int, ...]  # sectors without a beam, ascending
+    front: np.ndarray     # indices of the beams within +-45 deg of the heading
 
 
-def _beam_geometry(n_beams: int) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    cached = _BEAM_CACHE.get(n_beams)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=32)
+def _beam_geometry(n_beams: int) -> _BeamGeometry:
     rel = np.arange(n_beams) * (2.0 * math.pi / n_beams)
     rel = np.mod(rel + math.pi, 2.0 * math.pi) - math.pi
-    sectors = [
-        np.flatnonzero(
-            np.round(rel / (2.0 * math.pi / N_SECTORS)).astype(int) % N_SECTORS == k
-        )
-        for k in range(N_SECTORS)
-    ]
-    front = np.abs(rel) <= math.pi / 4.0 + 1e-12
-    _BEAM_CACHE[n_beams] = (rel, sectors, front)
-    return rel, sectors, front
+    sector = np.round(rel / (2.0 * math.pi / N_SECTORS)).astype(int) % N_SECTORS
+    order = np.argsort(sector, kind="stable")
+    counts = np.bincount(sector, minlength=N_SECTORS)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    front = np.flatnonzero(np.abs(rel) <= math.pi / 4.0 + 1e-12)
+    for a in (order, starts, front):
+        a.flags.writeable = False
+    return _BeamGeometry(rel.tolist(), order, starts,
+                         tuple(np.flatnonzero(counts == 0).tolist()), front)
 
 
 def summarize(scan: LidarScan, state: RobotState) -> ScanSummary:
     """Reduce a scan to the eight-sector digest the agent plans from.
 
     Sector 0 is centered on the heading; a sector with no beams reports
-    max_range (no information reads as no return).
+    max_range (no information reads as no return). The sector minima come
+    from one ``np.minimum.reduceat`` over the beams grouped by sector; a
+    minimum is exact in any order, so they equal per-sector ``min`` calls.
     """
-    rel, sectors, _ = _beam_geometry(scan.n_beams)
-    mins = tuple(
-        float(scan.ranges[idx].min()) if idx.size else scan.max_range
-        for idx in sectors
-    )
-    nearest_idx = int(np.argmin(scan.ranges))
+    g = _beam_geometry(scan.n_beams)
+    ranges = scan.ranges
+    mins = np.minimum.reduceat(ranges[g.order], g.starts).tolist()
+    for k in g.empty:
+        mins.insert(k, scan.max_range)
+    nearest_idx = int(ranges.argmin())
     return ScanSummary(
-        sector_min=mins,
-        nearest_bearing=float(rel[nearest_idx]),
-        nearest_range=float(scan.ranges[nearest_idx]),
+        sector_min=tuple(mins),
+        nearest_bearing=g.bearing[nearest_idx],
+        nearest_range=float(ranges[nearest_idx]),
         pose=state.pose,
         load=state.load,
         mode=state.mode,
@@ -94,8 +112,7 @@ def summarize(scan: LidarScan, state: RobotState) -> ScanSummary:
 
 def front_min_range(scan: LidarScan) -> float:
     """Minimum return within +-45 degrees of the heading."""
-    _, _, front = _beam_geometry(scan.n_beams)
-    return float(scan.ranges[front].min())
+    return float(scan.ranges[_beam_geometry(scan.n_beams).front].min())
 
 
 @dataclass(frozen=True)
@@ -112,12 +129,14 @@ class ObstacleBelief:
     @classmethod
     def from_scan(cls, scan: LidarScan, origin_x: float, origin_y: float
                   ) -> "ObstacleBelief":
-        hits = scan.ranges < scan.max_range
-        angles = scan.angle_min + scan.angle_increment * np.flatnonzero(hits)
-        r = scan.ranges[hits]
-        points = np.column_stack(
-            (origin_x + r * np.cos(angles), origin_y + r * np.sin(angles))
-        )
+        ranges = scan.ranges
+        idx = (ranges < scan.max_range).nonzero()[0]
+        r = ranges[idx]
+        angles = scan.angle_min + scan.angle_increment * idx
+        points = np.empty((idx.shape[0], 2))
+        np.multiply(r, np.cos(angles), out=points[:, 0])
+        np.multiply(r, np.sin(angles), out=points[:, 1])
+        points += (origin_x, origin_y)
         return cls(points=points, built_tick=scan.tick)
 
 
@@ -135,8 +154,15 @@ def predict_trajectory(
     Each substep advances with the speeds at its start, so coarser steps
     brake later and predict slightly farther travel: discretization errs on
     the conservative side.
+
+    Two loops, one per phase. While holding, v, omega and the arc radius are
+    fixed, so they are computed once; the last hold step is shortened to
+    land exactly on hold_s. While braking, each step ends by taking a_max *
+    step off each wheel's speed, or zeroing a wheel slower than that. The
+    floating-point operations per sample are those of a single loop that
+    recomputes everything every step.
     """
-    sin, cos, copysign = math.sin, math.cos, math.copysign
+    sin, cos = math.sin, math.cos
     axle = robot.axle
     a_max = robot.a_max
     brake_s = max(abs(v_left), abs(v_right)) / a_max
@@ -144,18 +170,39 @@ def predict_trajectory(
     t_end = horizon - 1e-12
     x, y, th = pose.x, pose.y, pose.theta
     s_th, c_th = sin(th), cos(th)  # always sin/cos of the current th
-    vl, vr = v_left, v_right
     xs = [x]
     ys = [y]
     t = 0.0
+    # hold phase: the horizon lies at least 0.1 s past hold_s, so only
+    # hold_s can clip a step here
+    v = 0.5 * (v_left + v_right)
+    omega = (v_right - v_left) / axle
+    arc = abs(omega) > 1e-9
+    radius = v / omega if arc else 0.0
+    while t < hold_s:
+        t_next = t + dt_pred
+        if hold_s < t_next:
+            step = hold_s - t
+            t_next = hold_s
+        else:
+            step = dt_pred
+        if arc:
+            th += omega * step
+            s_end, c_end = sin(th), cos(th)
+            x += radius * (s_end - s_th)
+            y -= radius * (c_end - c_th)
+            s_th, c_th = s_end, c_end
+        else:
+            x += v * c_th * step
+            y += v * s_th * step
+        xs.append(x)
+        ys.append(y)
+        t = t_next
+    vl, vr = v_left, v_right
     while t < t_end:
         step = horizon - t
         if dt_pred < step:
             step = dt_pred
-        clipped = t < hold_s < t + step
-        if clipped:
-            step = hold_s - t  # land exactly on the phase boundary
-        braking = t >= hold_s
         v = 0.5 * (vl + vr)
         omega = (vr - vl) / axle
         if abs(omega) > 1e-9:
@@ -170,11 +217,20 @@ def predict_trajectory(
             y += v * s_th * step
         xs.append(x)
         ys.append(y)
-        if braking:
-            dv = a_max * step
-            vl -= copysign(min(abs(vl), dv), vl) if vl else 0.0
-            vr -= copysign(min(abs(vr), dv), vr) if vr else 0.0
-        t = hold_s if clipped else t + step
+        dv = a_max * step
+        if vl > dv:
+            vl -= dv
+        elif vl < -dv:
+            vl += dv
+        elif vl:
+            vl = 0.0
+        if vr > dv:
+            vr -= dv
+        elif vr < -dv:
+            vr += dv
+        elif vr:
+            vr = 0.0
+        t += step
     out = np.empty((len(xs), 2))
     out[:, 0] = xs
     out[:, 1] = ys
@@ -222,13 +278,15 @@ def safety_check(
     intact). SET_WHEELS is forward-simulated for its duration plus
     worst-case braking plus a 0.1 s margin; it passes only when every sample
     keeps at least d_min of body clearance. A stale or missing belief makes
-    every motion command unsafe, conservatively.
+    every motion command unsafe, conservatively, and so does a wheel speed
+    that is not a number within the wheel limit.
     """
     if low.kind is not LowKind.SET_WHEELS:
         return SafetyVerdict(True, math.inf, VerdictReason.OK)
     if belief is None or now - belief.built_tick > params.stale_limit:
         return SafetyVerdict(False, -math.inf, VerdictReason.LIMIT_EXCEEDED)
-    if max(abs(low.v_left), abs(low.v_right)) > robot.v_wheel_max + 1e-9:
+    limit = robot.v_wheel_max + 1e-9
+    if not (abs(low.v_left) <= limit and abs(low.v_right) <= limit):  # NaN too
         return SafetyVerdict(False, -math.inf, VerdictReason.LIMIT_EXCEEDED)
     samples = predict_trajectory(
         pose, low.v_left, low.v_right, low.duration_ticks * physics_dt,

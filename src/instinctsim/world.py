@@ -8,6 +8,7 @@ the instinct layer has a single device interface.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -76,8 +77,10 @@ class WorldModel:
     circles: tuple[Circle, ...] = ()
     rects: tuple[Rect, ...] = ()
     # Ray-cast tables, built once; excluded from comparisons/hash/repr.
-    # _slabs: (1 + len(rects), 4) rows (x0, y0, x1, y1), the bounds first;
-    # _circ: (len(circles), 3) rows (cx, cy, radius**2).
+    # Obstacle-major columns that broadcast against a row of beams.
+    # _slabs: (2, 2, 1 + len(rects), 1), the lower corners (x0, y0) then the
+    # upper corners (x1, y1) of the bounds (first) and every rect;
+    # _circ: (3, len(circles), 1), the centers (cx, cy) then radius**2.
     _slabs: np.ndarray = field(init=False, repr=False)
     _circ: np.ndarray = field(init=False, repr=False)
 
@@ -103,9 +106,11 @@ class WorldModel:
                 raise ValueError(f"rect must lie inside bounds: {r}")
         slabs = np.array([(r.x0, r.y0, r.x1, r.y1) for r in (b, *self.rects)],
                          dtype=float)
+        slabs = np.ascontiguousarray(slabs.T.reshape(2, 2, -1, 1))
         circ = np.array([(c.cx, c.cy, c.radius) for c in self.circles],
                         dtype=float).reshape(-1, 3)
-        circ[:, 2] **= 2
+        circ = np.ascontiguousarray(circ.T.reshape(3, -1, 1))
+        circ[2] **= 2
         slabs.flags.writeable = False
         circ.flags.writeable = False
         object.__setattr__(self, "_slabs", slabs)
@@ -178,62 +183,53 @@ def step_kinematics(
     return Pose2D(x, y, wrap_angle(pose.theta))
 
 
-def _slab_first_hit(
-    ox: float,
-    oy: float,
-    dx: np.ndarray,
-    dy: np.ndarray,
-    rects: np.ndarray,
-) -> np.ndarray:
-    """First positive ray parameter against each rect (slab test), inf if none.
-
-    rects has shape (R, 4); result has shape (n_beams, R). A ray starting
-    inside a rect hits its exit face, so container rects (bounds) and solid
-    rects share this routine.
-    """
-    tiny = 1e-300  # keeps 0-component directions finite without NaNs
-    sdx = np.where(np.abs(dx) < tiny, np.copysign(tiny, dx), dx)[:, None]
-    sdy = np.where(np.abs(dy) < tiny, np.copysign(tiny, dy), dy)[:, None]
-    ta = (rects[None, :, 0] - ox) / sdx
-    tb = (rects[None, :, 2] - ox) / sdx
-    txmin = np.minimum(ta, tb)
-    txmax = np.maximum(ta, tb)
-    ta = (rects[None, :, 1] - oy) / sdy
-    tb = (rects[None, :, 3] - oy) / sdy
-    tymin = np.minimum(ta, tb)
-    tymax = np.maximum(ta, tb)
-    tmin = np.maximum(txmin, tymin)
-    tmax = np.minimum(txmax, tymax)
-    hit = tmax >= np.maximum(tmin, 0.0)
-    t = np.where(tmin > RAY_T_EPS, tmin, np.where(tmax > RAY_T_EPS, tmax, np.inf))
-    return np.where(hit, t, np.inf)
-
-
 def beam_distances(
     world: WorldModel, ox: float, oy: float, angles: np.ndarray
 ) -> np.ndarray:
     """Uncapped distance to the first surface along each ray angle.
 
-    One slab pass covers the bounds and every rect, one pass the circles;
-    the nearest hit is their elementwise minimum.
+    One slab pass covers the bounds and every rect (a ray starting inside a
+    rect hits its exit face, so the container and solid rects share it), one
+    pass the circles; the nearest hit is their elementwise minimum.
+
+    Arrays are obstacle-major, (obstacles, beams), with the x and y parts
+    of the slab test and of the circle's d.f and |f|^2 stacked on a leading
+    axis of two, and each family ends in one masked ``np.minimum.reduce``
+    over its obstacles. Every element still goes through the IEEE
+    operations of a one-obstacle-at-a-time cast: a reduce over two elements
+    is the same single max, min or add; the mask drops exactly the entries a
+    per-obstacle ``where`` chain would set to inf; and a minimum does not
+    depend on the order of its operands. So the layout changes no result
+    bit.
     """
-    dx = np.cos(angles)
-    dy = np.sin(angles)
-    best = _slab_first_hit(ox, oy, dx, dy, world._slabs).min(axis=1)
+    n = angles.shape[0]
+    d = np.empty((2, 1, n))
+    np.cos(angles, out=d[0, 0])
+    np.sin(angles, out=d[1, 0])
+    # zero direction components stay finite (+-1e-300) without NaNs
+    sd = np.copysign(np.maximum(np.abs(d), 1e-300), d)
+    o = np.array((ox, oy)).reshape(2, 1, 1)
+    lower, upper = world._slabs
+    ta = (lower - o) / sd
+    tb = (upper - o) / sd
+    tmin = np.maximum.reduce(np.minimum(ta, tb), axis=0)
+    tmax = np.minimum.reduce(np.maximum(ta, tb), axis=0)
+    # the entry face, or the exit face from inside; a miss has tmax < tmin
+    t = np.where(tmin > RAY_T_EPS, tmin, tmax)
+    best = np.minimum.reduce(t, axis=0, initial=np.inf,
+                             where=(t > RAY_T_EPS) & (tmax >= tmin))
     circ = world._circ
-    if circ.shape[0]:
-        fx = circ[:, 0] - ox
-        fy = circ[:, 1] - oy
+    if circ.shape[1]:
+        f = circ[:2] - o
         # p(t) = o + t*d hits the circle when t^2 - 2 t (d.f) + |f|^2 - r^2 = 0
-        b = dx[:, None] * fx[None, :] + dy[:, None] * fy[None, :]
-        c0 = fx * fx + fy * fy - circ[:, 2]
-        disc = b * b - c0[None, :]
+        b = np.add.reduce(f * d, axis=0)
+        disc = b * b - (np.add.reduce(f * f, axis=0) - circ[2])
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
-        t2 = b + sq
-        t = np.where(t1 > RAY_T_EPS, t1, np.where(t2 > RAY_T_EPS, t2, np.inf))
-        t = np.where(disc >= 0.0, t, np.inf)
-        best = np.minimum(best, t.min(axis=1))
+        t = np.where(t1 > RAY_T_EPS, t1, b + sq)
+        np.minimum(best, np.minimum.reduce(
+            t, axis=0, initial=np.inf,
+            where=(t > RAY_T_EPS) & (disc >= 0.0)), out=best)
     return best
 
 
@@ -256,6 +252,14 @@ def raycast(
     return max_range, False
 
 
+@functools.lru_cache(maxsize=32)
+def _beam_offsets(n_beams: int) -> np.ndarray:
+    """Beam angles relative to the heading, ``(2*pi / n_beams) * i``."""
+    offsets = (TWO_PI / n_beams) * np.arange(n_beams)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def scan(
     world: WorldModel,
     pose: Pose2D,
@@ -273,9 +277,8 @@ def scan(
     if n_beams < 4:
         raise ValueError("n_beams must be at least 4")
     increment = TWO_PI / n_beams
-    angles = pose.theta + increment * np.arange(n_beams)
-    dists = beam_distances(world, pose.x, pose.y, angles)
-    ranges = np.where(dists <= max_range, dists, max_range)
+    angles = pose.theta + _beam_offsets(n_beams)
+    ranges = np.minimum(beam_distances(world, pose.x, pose.y, angles), max_range)
     if noise_std > 0.0:
         if noise_rng is None:
             raise ValueError("noise_std > 0 requires a noise_rng")

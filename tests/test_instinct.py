@@ -25,6 +25,7 @@ from instinctsim.messages import (
     HighKind,
     LowCommand,
     LowKind,
+    SafetyVerdict,
     VerdictReason,
     sector_index,
 )
@@ -391,6 +392,17 @@ class TestSafetyCheck:
                          BOUNDS, ROBOT, PARAMS,
                          now=PARAMS.stale_limit + 1, physics_dt=PHYSICS_DT)
         assert not v.safe and v.reason is VerdictReason.LIMIT_EXCEEDED
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_non_finite_wheel_speed_refused(self, bad, side):
+        vl = bad if side in ("left", "both") else 0.3
+        vr = bad if side in ("right", "both") else 0.3
+        v = safety_check(LowCommand(1, 2, LowKind.SET_WHEELS, vl, vr, 1),
+                         Pose2D(0, 0, 0), self.belief_at([3.0, 3.0]),
+                         BOUNDS, ROBOT, PARAMS, 0, PHYSICS_DT)
+        assert v == SafetyVerdict(False, -math.inf,
+                                  VerdictReason.LIMIT_EXCEEDED)
 
     def test_bounds_violation_detected(self):
         v = safety_check(LowCommand(1, 2, LowKind.SET_WHEELS, 0.5, 0.5, 200),

@@ -1,11 +1,11 @@
 """Per-scan perception and the predictive-check kernel against frozen
 references.
 
-The fused ray cast, stationary scan reuse, per-scan perception and the lean
-trajectory kernel must leave every floating-point result bit-identical, so
-each is compared here with ``==`` / ``np.array_equal`` against a reference
-that keeps the straightforward form: one obstacle at a time, a fresh scan,
-the plain sample loop.
+The fused ray cast, stationary scan reuse, per-scan perception, the scan
+digest and the lean trajectory kernel must leave every floating-point result
+bit-identical, so each is compared here with ``==`` / ``np.array_equal``
+against a reference that keeps the straightforward form: one obstacle at a
+time, a fresh scan, one ``min`` per sector, the plain sample loop.
 """
 
 import math
@@ -20,12 +20,13 @@ from conftest import make_stack
 from instinctsim import instinct
 from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import _trajectory_clearances, predict_trajectory
-from instinctsim.messages import HighCommand, HighKind
+from instinctsim.messages import HighCommand, HighKind, N_SECTORS, ScanSummary
 from instinctsim.scenario import random_scenario
 from instinctsim.world import (
     RAY_T_EPS,
     Circle,
     DeviceSim,
+    LidarScan,
     Pose2D,
     Rect,
     RobotState,
@@ -93,6 +94,44 @@ def reference_trajectory_clearances(samples, points, bounds, radius):
     return obstacle_min, float(inner.min()) - radius
 
 
+def _reference_beam_geometry(n_beams):
+    rel = np.arange(n_beams) * (2.0 * math.pi / n_beams)
+    rel = np.mod(rel + math.pi, 2.0 * math.pi) - math.pi
+    sector = np.round(rel / (2.0 * math.pi / N_SECTORS)).astype(int) % N_SECTORS
+    sectors = [np.flatnonzero(sector == k) for k in range(N_SECTORS)]
+    return rel, sectors, np.abs(rel) <= math.pi / 4.0 + 1e-12
+
+
+def reference_summarize(scan_, state):
+    """Eight fancy-index minima and ``np.argmin``."""
+    rel, sectors, _ = _reference_beam_geometry(scan_.n_beams)
+    mins = tuple(
+        float(scan_.ranges[idx].min()) if idx.size else scan_.max_range
+        for idx in sectors
+    )
+    nearest_idx = int(np.argmin(scan_.ranges))
+    return ScanSummary(
+        sector_min=mins,
+        nearest_bearing=float(rel[nearest_idx]),
+        nearest_range=float(scan_.ranges[nearest_idx]),
+        pose=state.pose, load=state.load, mode=state.mode, tick=scan_.tick,
+    )
+
+
+def reference_front_min_range(scan_):
+    _, _, front = _reference_beam_geometry(scan_.n_beams)
+    return float(scan_.ranges[front].min())
+
+
+def reference_belief_points(scan_, origin_x, origin_y):
+    """A boolean mask and ``np.column_stack``."""
+    hits = scan_.ranges < scan_.max_range
+    angles = scan_.angle_min + scan_.angle_increment * np.flatnonzero(hits)
+    r = scan_.ranges[hits]
+    return np.column_stack(
+        (origin_x + r * np.cos(angles), origin_y + r * np.sin(angles)))
+
+
 def _slab(ox, oy, dx, dy, x0, y0, x1, y1):
     """First positive ray parameter against one rect (slab test), inf if none."""
     tiny = 1e-300
@@ -150,17 +189,27 @@ def wheel_pairs(draw):
 
 
 class TestPredictiveKernel:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(
         x=st.floats(-20, 20), y=st.floats(-20, 20),
         theta=st.floats(-math.pi, math.pi),
         wheels=wheel_pairs(),
-        hold_ticks=st.integers(1, 200),
+        dt_pred=st.one_of(
+            st.just(PARAMS.dt_pred),
+            st.sampled_from([0.001, 0.005, 0.01, 0.015, 0.03, 0.05, 0.1, 0.3,
+                             1.0]),
+            st.floats(0.001, 1.0)),
+        hold=st.one_of(st.tuples(st.just("ticks"), st.integers(1, 200)),
+                       st.tuples(st.just("steps"), st.integers(1, 100))),
     )
     def test_trajectory_matches_reference_loop(self, x, y, theta, wheels,
-                                               hold_ticks):
-        pose = Pose2D(x, y, theta)
-        args = (pose, *wheels, hold_ticks * PHYSICS_DT, ROBOT, PARAMS.dt_pred)
+                                               dt_pred, hold):
+        # "steps" holds are k * dt_pred: the summed hold steps land within
+        # rounding of hold_s, where the hold phase hands over to braking;
+        # dt_pred above the braking horizon clips the last step to it
+        unit, count = hold
+        hold_s = count * (PHYSICS_DT if unit == "ticks" else dt_pred)
+        args = (Pose2D(x, y, theta), *wheels, hold_s, ROBOT, dt_pred)
         got = predict_trajectory(*args)
         want = reference_predict_trajectory(*args)
         assert got.shape == want.shape
@@ -187,6 +236,51 @@ class TestPredictiveKernel:
         want = reference_trajectory_clearances(samples, points, bounds,
                                                ROBOT.radius)
         assert got == want
+
+
+# -- scan digest --------------------------------------------------------------
+
+@st.composite
+def lidar_scans(draw, min_beams=4, max_beams=72):
+    """Scans with repeated ranges (ties) and max_range misses."""
+    n = draw(st.integers(min_beams, max_beams))
+    max_range = draw(st.sampled_from([5.0, 3.5]))
+    value = st.one_of(st.sampled_from([0.3, 1.25, max_range]),
+                      st.floats(1e-6, max_range))
+    ranges = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return LidarScan(ranges=ranges,
+                     angle_min=draw(st.floats(-math.pi, math.pi)),
+                     angle_increment=2.0 * math.pi / n,
+                     max_range=max_range, tick=draw(st.integers(0, 10**6)))
+
+
+class TestScanDigest:
+    STATE = RobotState(pose=Pose2D(0.7, -1.2, 0.3), load=0.4)
+
+    def _assert_matches_reference(self, scan_):
+        got = instinct.summarize(scan_, self.STATE)
+        assert got == reference_summarize(scan_, self.STATE)
+        assert all(type(m) is float for m in got.sector_min)
+        assert type(got.nearest_bearing) is float
+        assert instinct.front_min_range(scan_) == \
+            reference_front_min_range(scan_)
+        pose = self.STATE.pose
+        points = instinct.ObstacleBelief.from_scan(scan_, pose.x, pose.y).points
+        want = reference_belief_points(scan_, pose.x, pose.y)
+        assert points.shape == want.shape
+        assert np.array_equal(points, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(scan_=lidar_scans())
+    def test_matches_reference(self, scan_):
+        self._assert_matches_reference(scan_)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_=lidar_scans(max_beams=7))
+    def test_few_beams_leave_sectors_empty(self, scan_):
+        _, sectors, _ = _reference_beam_geometry(scan_.n_beams)
+        assert any(idx.size == 0 for idx in sectors)
+        self._assert_matches_reference(scan_)
 
 
 # -- fused ray cast ------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
+from instinctsim.config import InstinctParams
 from instinctsim.runner import run_live, run_sim
 from instinctsim.scenario import (
     AgentSpec,
@@ -69,7 +70,7 @@ class TestDeterminism:
         assert recompute_metrics(trace).replay_dict() == metrics.replay_dict()
 
     def test_pinned_trace_digests(self, tmp_path):
-        """The deterministic traces of two fixed runs, pinned by sha256.
+        """The deterministic traces of three fixed runs, pinned by sha256.
 
         A change that only restructures code must leave these bytes alone.
         The pins are platform-specific: the trace carries floats from libm
@@ -81,6 +82,12 @@ class TestDeterminism:
             small_scenario(backend="hallucinate", probability=0.3),
             agent=AgentSpec(backend="hallucinate",
                             hallucination_probability=0.3, kill_tick=120))
+        # idle roaming after the agent dies: roam_intent, braking from up
+        # to full wheel speed, and two safe-mode entries and exits
+        roaming = replace(
+            small_scenario(ticks=2000),
+            instinct=InstinctParams(roaming=True),
+            agent=AgentSpec(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
                      "4817b02240e0aa71645cae2a8d3a6f5e"
@@ -88,6 +95,9 @@ class TestDeterminism:
             "hallucinate_kill120": (hallucinating,
                                     "f2a3a91928d1ddf781fb85ec77474410"
                                     "63bab16fbbf90c4da41ffa1151d70ffe"),
+            "roaming_kill100": (roaming,
+                                "513e69486b7dfcf94c6febb1adf79db7"
+                                "4611f752333c6566891bbfb784e26cdf"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"
