@@ -83,7 +83,6 @@ class ReflectionNote:
 
     blocked_bearings: dict[int, int] = field(default_factory=dict)  # sector -> expiry tick
     consecutive_failures: int = 0
-    last_refusal_reason: str | None = None
 
     def expire(self, now: int) -> None:
         self.blocked_bearings = {
@@ -93,7 +92,6 @@ class ReflectionNote:
     def clear(self) -> None:
         self.blocked_bearings.clear()
         self.consecutive_failures = 0
-        self.last_refusal_reason = None
 
 
 def self_reflection(
@@ -115,7 +113,6 @@ def self_reflection(
             notes.clear()
         elif fb.status is FeedbackStatus.REFUSED:
             notes.consecutive_failures += 1
-            notes.last_refusal_reason = fb.reason
             cmd = sent_commands.get(fb.command_id)
             if fb.reason == "OBSTACLE_PREDICTED" and cmd is not None:
                 target = _command_target(cmd)

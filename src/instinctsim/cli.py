@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .runner import run_live, run_sim
-from .scenario import ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .trace import write_metrics, write_trace
 
 
@@ -34,35 +33,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    """The scenario with the command-line overrides, validated like the
+    file's own values (errors name the scenario field)."""
+    raw = scenario.to_dict()
+    for section, key, value in (
+        (raw, "seed", args.seed),
+        (raw, "ticks", args.ticks),
+        (raw["agent"], "backend", args.agent),
+        (raw["agent"], "hallucination_probability", args.hallucination_prob),
+    ):
+        if value is not None:
+            section[key] = value
+    return parse_scenario(raw)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _with_overrides(load_scenario(args.scenario), args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.ticks is not None:
-        if args.ticks < 0:
-            print("scenario error: --ticks must be >= 0", file=sys.stderr)
-            return 2
-        overrides["ticks"] = args.ticks
-    agent_overrides = {}
-    if args.agent is not None:
-        agent_overrides["backend"] = args.agent
-    if args.hallucination_prob is not None:
-        if not 0.0 <= args.hallucination_prob <= 1.0:
-            print("scenario error: --hallucination-prob must be in [0, 1]",
-                  file=sys.stderr)
-            return 2
-        agent_overrides["hallucination_probability"] = args.hallucination_prob
-    if agent_overrides:
-        overrides["agent"] = dataclasses.replace(scenario.agent,
-                                                 **agent_overrides)
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
 
     run = run_live if args.live else run_sim
     trace, metrics = run(scenario)

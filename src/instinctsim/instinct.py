@@ -161,7 +161,12 @@ def predict_trajectory(
     step off each wheel's speed, or zeroing a wheel slower than that. The
     floating-point operations per sample are those of a single loop that
     recomputes everything every step.
+
+    Raises ValueError on a non-finite wheel speed: its braking horizon
+    has no end.
     """
+    if not (math.isfinite(v_left) and math.isfinite(v_right)):
+        raise ValueError(f"non-finite wheel speed: ({v_left}, {v_right})")
     sin, cos = math.sin, math.cos
     axle = robot.axle
     a_max = robot.a_max

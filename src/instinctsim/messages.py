@@ -117,18 +117,6 @@ class LowCommand:
         if self.duration_ticks < 1:
             raise ValueError("duration_ticks must be >= 1")
 
-    def to_payload(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "parent_id": "SURVIVAL" if self.parent_id is None else self.parent_id,
-            "kind": self.kind.value,
-        }
-        if self.kind is LowKind.SET_WHEELS:
-            out["v_left"] = self.v_left
-            out["v_right"] = self.v_right
-            out["duration_ticks"] = self.duration_ticks
-        return out
-
 
 @dataclass(frozen=True)
 class SafetyVerdict:

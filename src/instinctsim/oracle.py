@@ -19,7 +19,7 @@ import numpy as np
 from .config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from .instinct import ObstacleBelief
 from .messages import LowCommand, LowKind, SafetyVerdict, VerdictReason
-from .world import Circle, Pose2D, Rect, WorldModel, clearance, scan
+from .world import Pose2D, WorldModel, clearance, random_world, scan
 
 # Oracle clearances this close to d_min are attributed to integration
 # resolution; see docs/boundary_band.md for the derivation.
@@ -45,25 +45,8 @@ def gen_scenario(
     """Seeded case: 1-8 obstacles, a start with >= 0.5 m clearance, a belief
     scanned from that start, and a random device command."""
     rng = random.Random(seed)
-    bounds = Rect(-4.0, -4.0, 4.0, 4.0)
-    circles: list[Circle] = []
-    rects: list[Rect] = []
-    for _ in range(rng.randint(1, 8)):
-        if rng.random() < 0.6:
-            radius = rng.uniform(0.2, 0.6)
-            circles.append(Circle(
-                rng.uniform(bounds.x0 + radius, bounds.x1 - radius),
-                rng.uniform(bounds.y0 + radius, bounds.y1 - radius),
-                radius,
-            ))
-        else:
-            w = rng.uniform(0.3, 1.2)
-            h = rng.uniform(0.3, 1.2)
-            x0 = rng.uniform(bounds.x0, bounds.x1 - w)
-            y0 = rng.uniform(bounds.y0, bounds.y1 - h)
-            rects.append(Rect(x0, y0, x0 + w, y0 + h))
-    world = WorldModel(bounds=bounds, circles=tuple(circles),
-                       rects=tuple(rects))
+    world = random_world(rng, (1, 8))
+    bounds = world.bounds
     while True:
         x = rng.uniform(bounds.x0 + 0.3, bounds.x1 - 0.3)
         y = rng.uniform(bounds.y0 + 0.3, bounds.y1 - 0.3)

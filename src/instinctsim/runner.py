@@ -22,7 +22,7 @@ from .agent import DecisionAgent, GoalKind, LlmBackend, Task
 from .bus import Channel
 from .config import AgentParams, derive_rng
 from .instinct import InstinctController
-from .scenario import Scenario, TaskSpec
+from .scenario import Scenario
 from .trace import MetricsAccumulator, RunMetrics, TraceEvent, TraceRecorder
 from .world import DeviceSim, RobotState
 
@@ -58,7 +58,8 @@ class Runtime:
         for spec in sc.tasks:
             if spec.issue_tick == now:
                 self.issued += 1
-                task = _task_from_spec(spec, self.issued)
+                task = Task(self.issued, GoalKind(spec.kind), spec.x, spec.y,
+                            spec.waypoints)
                 self.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
                 self.task_channel.transmit(task, now)
         state = self.device.step(sc.dt)
@@ -161,14 +162,6 @@ def build_runtime(
     )
     return Runtime(scenario, device, instinct, agent, recorder, task_channel,
                    death_tick=scenario.agent.kill_tick)
-
-
-def _task_from_spec(spec: TaskSpec, task_id: int) -> Task:
-    if spec.kind == "GOTO":
-        return Task(task_id, GoalKind.GOTO, x=spec.x, y=spec.y)
-    if spec.kind == "PATROL":
-        return Task(task_id, GoalKind.PATROL, waypoints=spec.waypoints)
-    return Task(task_id, GoalKind.HOLD)
 
 
 def _timing_stats(samples_ns: list[int]) -> dict:

@@ -4,6 +4,12 @@ A scenario pins everything a run needs: the world, the robot start, tasks
 with issue ticks, agent backend and cadence, channel properties, seeds, and
 run length. Unknown keys are rejected by name so typos cannot silently fall
 back to defaults.
+
+Each parameter section is read, defaulted and written from its dataclass:
+``_fields`` reads every field by its annotated type and takes missing ones
+from the default instance, and ``Scenario.to_dict`` writes the same names
+back. Only the world and the tasks have JSON shapes of their own. Checks
+beyond a field's type live in ``_check``.
 """
 
 from __future__ import annotations
@@ -11,17 +17,16 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .config import (
-    AgentParams,
     ChannelParams,
     InstinctParams,
     LidarParams,
     PHYSICS_DT,
     RobotParams,
 )
-from .world import Circle, Pose2D, Rect, WorldModel, clearance
+from .world import Circle, Pose2D, Rect, WorldModel, clearance, random_world
 
 
 class ScenarioError(ValueError):
@@ -64,63 +69,23 @@ class Scenario:
     tasks: tuple[TaskSpec, ...] = ()
 
     def to_dict(self) -> dict:
-        w = self.world
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "ticks": self.ticks,
-            "dt": self.dt,
-            "world": {
-                "bounds": {"min": [w.bounds.x0, w.bounds.y0],
-                           "max": [w.bounds.x1, w.bounds.y1]},
-                "circles": [{"center": [c.cx, c.cy], "radius": c.radius}
-                            for c in w.circles],
-                "rects": [{"min": [r.x0, r.y0], "max": [r.x1, r.y1]}
-                          for r in w.rects],
-            },
-            "start": {"x": self.start.x, "y": self.start.y,
-                      "theta": self.start.theta},
-            "robot": {"radius": self.robot.radius, "axle": self.robot.axle,
-                      "v_wheel_max": self.robot.v_wheel_max,
-                      "a_max": self.robot.a_max},
-            "lidar": {"beams": self.lidar.beams,
-                      "max_range": self.lidar.max_range,
-                      "noise_std": self.lidar.noise_std},
-            "instinct": {
-                "d_min": self.instinct.d_min,
-                "d_stop": self.instinct.d_stop,
-                "d_slow": self.instinct.d_slow,
-                "eps_pos": self.instinct.eps_pos,
-                "eps_heading": self.instinct.eps_heading,
-                "k_d": self.instinct.k_d,
-                "k_theta": self.instinct.k_theta,
-                "omega_max": self.instinct.omega_max,
-                "dt_pred": self.instinct.dt_pred,
-                "stale_limit": self.instinct.stale_limit,
-                "safe_hold_ticks": self.instinct.safe_hold_ticks,
-                "overload_threshold": self.instinct.overload_threshold,
-                "overload_window": self.instinct.overload_window,
-                "roaming": self.instinct.roaming,
-            },
-            "agent": {
-                "backend": self.agent.backend,
-                "period_ticks": self.agent.period_ticks,
-                "hallucination_probability":
-                    self.agent.hallucination_probability,
-                "kill_tick": self.agent.kill_tick,
-                "llm_model": self.agent.llm_model,
-            },
-            "channels": {
-                "command_latency": self.channels.command_latency,
-                "feedback_latency": self.channels.feedback_latency,
-                "data_latency": self.channels.data_latency,
-                "task_latency": self.channels.task_latency,
-                "command_drop": self.channels.command_drop,
-                "feedback_drop": self.channels.feedback_drop,
-                "data_drop": self.channels.data_drop,
-            },
-            "tasks": [_task_to_dict(t) for t in self.tasks],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["world"] = _world_to_dict(self.world)
+        out["tasks"] = [_task_to_dict(t) for t in self.tasks]
+        return {k: asdict(v) if is_dataclass(v) else v for k, v in out.items()}
+
+
+def _world_to_dict(world: WorldModel) -> dict:
+    return {
+        "bounds": _rect_to_dict(world.bounds),
+        "circles": [{"center": [c.cx, c.cy], "radius": c.radius}
+                    for c in world.circles],
+        "rects": [_rect_to_dict(r) for r in world.rects],
+    }
+
+
+def _rect_to_dict(rect: Rect) -> dict:
+    return {"min": [rect.x0, rect.y0], "max": [rect.x1, rect.y1]}
 
 
 def _task_to_dict(task: TaskSpec) -> dict:
@@ -133,96 +98,142 @@ def _task_to_dict(task: TaskSpec) -> dict:
     return out
 
 
-def _require_keys(raw: dict, allowed: set[str], where: str) -> None:
-    for key in raw:
-        if key not in allowed:
-            raise ScenarioError(f"unknown field {where}.{key!r}")
-
-
-def _number(raw: dict, key: str, default: float, where: str) -> float:
-    value = raw.get(key, default)
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number: {value!r}")
+        raise ScenarioError(f"{where} must be a number: {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
-        raise ScenarioError(f"{where}.{key} must be finite")
-    return float(value)
-
-
-def _integer(raw: dict, key: str, default: int, where: str) -> int:
-    value = raw.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}.{key} must be an integer: {value!r}")
+        raise ScenarioError(f"{where} must be finite")
     return value
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer: {value!r}")
+    return value
+
+
+def _optional_integer(value, where: str) -> int | None:
+    return None if value is None else _integer(value, where)
+
+
+def _boolean(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where} must be a boolean: {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a string: {value!r}")
+    return value
+
+
+# Field readers by annotation; annotations are strings under
+# ``from __future__ import annotations``.
+_READERS = {
+    "float": _number,
+    "int": _integer,
+    "int | None": _optional_integer,
+    "bool": _boolean,
+    "str": _string,
+}
+
+
 def _pair(value, where: str) -> tuple[float, float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{where} must be a [x, y] pair: {value!r}")
-    return float(value[0]), float(value[1])
+    return _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
 
 
-def _parse_world(raw: dict) -> WorldModel:
-    _require_keys(raw, {"bounds", "circles", "rects"}, "world")
-    if "bounds" not in raw:
-        raise ScenarioError("missing required field world.bounds")
-    braw = raw["bounds"]
-    _require_keys(braw, {"min", "max"}, "world.bounds")
-    if "min" not in braw or "max" not in braw:
-        raise ScenarioError("world.bounds requires min and max")
-    bmin = _pair(braw["min"], "world.bounds.min")
-    bmax = _pair(braw["max"], "world.bounds.max")
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list: {value!r}")
+    return value
+
+
+def _shape(raw, where: str, allowed, required: tuple[str, ...] = ()) -> dict:
+    """``raw`` as a JSON object with only ``allowed`` keys and every
+    ``required`` one."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be an object: {raw!r}")
+    for key in raw:
+        if key not in allowed:
+            raise ScenarioError(f"unknown field {where}.{key!r}")
+    for key in required:
+        if key not in raw:
+            raise ScenarioError(f"missing required field {where}.{key}")
+    return raw
+
+
+def _fields(raw, default, where: str):
+    """A copy of the dataclass ``default`` with the fields ``raw`` gives.
+
+    Scalars are read by their annotated type; a field holding a dataclass
+    is a section of its own. Sections sit at the top level of a scenario
+    and are named by their key alone (``robot.radius``).
+    """
+    types = {f.name: f.type for f in fields(default)}
+    values = {}
+    for name, value in _shape(raw, where, types).items():
+        reader = _READERS.get(types[name])
+        if reader is None:
+            values[name] = _fields(value, getattr(default, name), name)
+        else:
+            values[name] = reader(value, f"{where}.{name}")
+    return replace(default, **values)
+
+
+def _corners(raw, where: str) -> Rect:
+    raw = _shape(raw, where, {"min", "max"}, ("min", "max"))
+    x0, y0 = _pair(raw["min"], f"{where}.min")
+    x1, y1 = _pair(raw["max"], f"{where}.max")
+    return Rect(x0, y0, x1, y1)
+
+
+def _parse_world(raw) -> WorldModel:
+    raw = _shape(raw, "world", {"bounds", "circles", "rects"}, ("bounds",))
     circles = []
-    for i, craw in enumerate(raw.get("circles", [])):
+    for i, craw in enumerate(_list(raw.get("circles", []), "world.circles")):
         where = f"world.circles[{i}]"
-        _require_keys(craw, {"center", "radius"}, where)
-        if "center" not in craw or "radius" not in craw:
-            raise ScenarioError(f"{where} requires center and radius")
+        craw = _shape(craw, where, {"center", "radius"}, ("center", "radius"))
         cx, cy = _pair(craw["center"], f"{where}.center")
-        circles.append(Circle(cx, cy, _number(craw, "radius", 0.0, where)))
-    rects = []
-    for i, rraw in enumerate(raw.get("rects", [])):
-        where = f"world.rects[{i}]"
-        _require_keys(rraw, {"min", "max"}, where)
-        if "min" not in rraw or "max" not in rraw:
-            raise ScenarioError(f"{where} requires min and max")
-        rmin = _pair(rraw["min"], f"{where}.min")
-        rmax = _pair(rraw["max"], f"{where}.max")
-        rects.append(Rect(rmin[0], rmin[1], rmax[0], rmax[1]))
+        circles.append(Circle(cx, cy, _number(craw["radius"],
+                                              f"{where}.radius")))
+    rects = [_corners(rraw, f"world.rects[{i}]") for i, rraw
+             in enumerate(_list(raw.get("rects", []), "world.rects"))]
+    bounds = _corners(raw["bounds"], "world.bounds")
     try:
-        return WorldModel(
-            bounds=Rect(bmin[0], bmin[1], bmax[0], bmax[1]),
-            circles=tuple(circles),
-            rects=tuple(rects),
-        )
+        return WorldModel(bounds=bounds, circles=tuple(circles),
+                          rects=tuple(rects))
     except ValueError as exc:
         raise ScenarioError(f"world: {exc}") from exc
 
 
-def _parse_tasks(raw: list) -> tuple[TaskSpec, ...]:
+def _parse_tasks(raw) -> tuple[TaskSpec, ...]:
     tasks = []
-    for i, traw in enumerate(raw):
+    for i, traw in enumerate(_list(raw, "tasks")):
         where = f"tasks[{i}]"
-        _require_keys(traw, {"issue_tick", "goal"}, where)
-        if "goal" not in traw:
-            raise ScenarioError(f"missing required field {where}.goal")
-        graw = traw["goal"]
-        _require_keys(graw, {"kind", "x", "y", "waypoints"}, f"{where}.goal")
-        kind = graw.get("kind")
+        traw = _shape(traw, where, {"issue_tick", "goal"}, ("goal",))
+        goal = _shape(traw["goal"], f"{where}.goal",
+                      {"kind", "x", "y", "waypoints"})
+        kind = goal.get("kind")
         if kind not in ("GOTO", "PATROL", "HOLD"):
             raise ScenarioError(f"{where}.goal.kind unknown: {kind!r}")
-        issue = _integer(traw, "issue_tick", 0, where)
+        issue = _integer(traw.get("issue_tick", 0), f"{where}.issue_tick")
         if issue < 0:
             raise ScenarioError(f"{where}.issue_tick must be >= 0")
         if kind == "GOTO":
-            if "x" not in graw or "y" not in graw:
+            if "x" not in goal or "y" not in goal:
                 raise ScenarioError(f"{where}.goal requires x and y")
             tasks.append(TaskSpec(issue, kind,
-                                  x=_number(graw, "x", 0.0, f"{where}.goal"),
-                                  y=_number(graw, "y", 0.0, f"{where}.goal")))
+                                  x=_number(goal["x"], f"{where}.goal.x"),
+                                  y=_number(goal["y"], f"{where}.goal.y")))
         elif kind == "PATROL":
-            wps = graw.get("waypoints")
+            wps = _list(goal.get("waypoints", []), f"{where}.goal.waypoints")
             if not wps:
                 raise ScenarioError(f"{where}.goal requires waypoints")
             tasks.append(TaskSpec(
@@ -235,168 +246,47 @@ def _parse_tasks(raw: list) -> tuple[TaskSpec, ...]:
     return tuple(tasks)
 
 
-_TOP_KEYS = {"name", "seed", "ticks", "dt", "world", "start", "robot",
-             "lidar", "instinct", "agent", "channels", "tasks"}
+def _check(sc: Scenario) -> None:
+    """Constraints beyond each field's type."""
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise ScenarioError(message)
+
+    require(sc.ticks >= 0, "scenario.ticks must be >= 0")
+    require(sc.dt > 0.0, "scenario.dt must be positive")
+    require(sc.world.bounds.contains(sc.start.x, sc.start.y),
+            "start must lie inside world.bounds")
+    for name, value in asdict(sc.robot).items():
+        require(value > 0.0, f"robot.{name} must be positive")
+    require(sc.lidar.beams >= 4, "lidar.beams must be >= 4")
+    require(sc.lidar.max_range > 0.0, "lidar.max_range must be positive")
+    require(sc.lidar.noise_std >= 0.0, "lidar.noise_std must be >= 0")
+    i = sc.instinct
+    require(i.d_min < i.d_stop < i.d_slow,
+            "instinct requires d_min < d_stop < d_slow")
+    require(i.dt_pred > 0.0, "instinct.dt_pred must be positive")
+    require(sc.agent.backend in ("rule", "hallucinate", "llm"),
+            f"agent.backend unknown: {sc.agent.backend!r}")
+    require(sc.agent.period_ticks >= 1, "agent.period_ticks must be >= 1")
+    require(0.0 <= sc.agent.hallucination_probability <= 1.0,
+            "agent.hallucination_probability must be in [0, 1]")
+    for name, value in asdict(sc.channels).items():
+        if name.endswith("_latency"):
+            require(value >= 0, f"channels.{name} must be >= 0")
+        elif name.endswith("_drop"):
+            require(0.0 <= value <= 1.0, f"channels.{name} must be in [0, 1]")
 
 
-def parse_scenario(raw: dict) -> Scenario:
+def parse_scenario(raw) -> Scenario:
     """Validate a raw scenario dict and fill every default."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "scenario")
-    if "world" not in raw:
-        raise ScenarioError("missing required field scenario.world")
-    world = _parse_world(raw["world"])
-
-    sraw = raw.get("start", {})
-    _require_keys(sraw, {"x", "y", "theta"}, "start")
-    start = Pose2D(_number(sraw, "x", 0.0, "start"),
-                   _number(sraw, "y", 0.0, "start"),
-                   _number(sraw, "theta", 0.0, "start"))
-    if not world.bounds.contains(start.x, start.y):
-        raise ScenarioError("start must lie inside world.bounds")
-
-    rraw = raw.get("robot", {})
-    _require_keys(rraw, {"radius", "axle", "v_wheel_max", "a_max"}, "robot")
-    d = RobotParams()
-    robot = RobotParams(
-        radius=_number(rraw, "radius", d.radius, "robot"),
-        axle=_number(rraw, "axle", d.axle, "robot"),
-        v_wheel_max=_number(rraw, "v_wheel_max", d.v_wheel_max, "robot"),
-        a_max=_number(rraw, "a_max", d.a_max, "robot"),
-    )
-    for fname in ("radius", "axle", "v_wheel_max", "a_max"):
-        if getattr(robot, fname) <= 0.0:
-            raise ScenarioError(f"robot.{fname} must be positive")
-
-    lraw = raw.get("lidar", {})
-    _require_keys(lraw, {"beams", "max_range", "noise_std"}, "lidar")
-    dl = LidarParams()
-    lidar = LidarParams(
-        beams=_integer(lraw, "beams", dl.beams, "lidar"),
-        max_range=_number(lraw, "max_range", dl.max_range, "lidar"),
-        noise_std=_number(lraw, "noise_std", dl.noise_std, "lidar"),
-    )
-    if lidar.beams < 4:
-        raise ScenarioError("lidar.beams must be >= 4")
-    if lidar.max_range <= 0.0:
-        raise ScenarioError("lidar.max_range must be positive")
-    if lidar.noise_std < 0.0:
-        raise ScenarioError("lidar.noise_std must be >= 0")
-
-    iraw = raw.get("instinct", {})
-    ikeys = {"d_min", "d_stop", "d_slow", "eps_pos", "eps_heading", "k_d",
-             "k_theta", "omega_max", "dt_pred", "stale_limit",
-             "safe_hold_ticks", "overload_threshold", "overload_window",
-             "roaming"}
-    _require_keys(iraw, ikeys, "instinct")
-    di = InstinctParams()
-    roaming = iraw.get("roaming", di.roaming)
-    if not isinstance(roaming, bool):
-        raise ScenarioError("instinct.roaming must be a boolean")
-    instinct = InstinctParams(
-        d_min=_number(iraw, "d_min", di.d_min, "instinct"),
-        d_stop=_number(iraw, "d_stop", di.d_stop, "instinct"),
-        d_slow=_number(iraw, "d_slow", di.d_slow, "instinct"),
-        eps_pos=_number(iraw, "eps_pos", di.eps_pos, "instinct"),
-        eps_heading=_number(iraw, "eps_heading", di.eps_heading, "instinct"),
-        k_d=_number(iraw, "k_d", di.k_d, "instinct"),
-        k_theta=_number(iraw, "k_theta", di.k_theta, "instinct"),
-        omega_max=_number(iraw, "omega_max", di.omega_max, "instinct"),
-        dt_pred=_number(iraw, "dt_pred", di.dt_pred, "instinct"),
-        stale_limit=_integer(iraw, "stale_limit", di.stale_limit, "instinct"),
-        safe_hold_ticks=_integer(iraw, "safe_hold_ticks", di.safe_hold_ticks,
-                                 "instinct"),
-        overload_threshold=_number(iraw, "overload_threshold",
-                                   di.overload_threshold, "instinct"),
-        overload_window=_integer(iraw, "overload_window", di.overload_window,
-                                 "instinct"),
-        roaming=roaming,
-    )
-    if not instinct.d_min < instinct.d_stop < instinct.d_slow:
-        raise ScenarioError("instinct requires d_min < d_stop < d_slow")
-    if instinct.dt_pred <= 0.0:
-        raise ScenarioError("instinct.dt_pred must be positive")
-
-    araw = raw.get("agent", {})
-    _require_keys(araw, {"backend", "period_ticks",
-                         "hallucination_probability", "kill_tick",
-                         "llm_model"}, "agent")
-    da = AgentSpec()
-    backend = araw.get("backend", da.backend)
-    if backend not in ("rule", "hallucinate", "llm"):
-        raise ScenarioError(f"agent.backend unknown: {backend!r}")
-    kill_tick = araw.get("kill_tick", da.kill_tick)
-    if kill_tick is not None and (isinstance(kill_tick, bool)
-                                  or not isinstance(kill_tick, int)):
-        raise ScenarioError("agent.kill_tick must be an integer or null")
-    agent = AgentSpec(
-        backend=backend,
-        period_ticks=_integer(araw, "period_ticks", da.period_ticks, "agent"),
-        hallucination_probability=_number(
-            araw, "hallucination_probability",
-            da.hallucination_probability, "agent"),
-        kill_tick=kill_tick,
-        llm_model=str(araw.get("llm_model", da.llm_model)),
-    )
-    if agent.period_ticks < 1:
-        raise ScenarioError("agent.period_ticks must be >= 1")
-    if not 0.0 <= agent.hallucination_probability <= 1.0:
-        raise ScenarioError("agent.hallucination_probability must be in [0, 1]")
-
-    craw = raw.get("channels", {})
-    ckeys = {"command_latency", "feedback_latency", "data_latency",
-             "task_latency", "command_drop", "feedback_drop", "data_drop"}
-    _require_keys(craw, ckeys, "channels")
-    dc = ChannelParams()
-    channels = ChannelParams(
-        command_latency=_integer(craw, "command_latency", dc.command_latency,
-                                 "channels"),
-        feedback_latency=_integer(craw, "feedback_latency",
-                                  dc.feedback_latency, "channels"),
-        data_latency=_integer(craw, "data_latency", dc.data_latency,
-                              "channels"),
-        task_latency=_integer(craw, "task_latency", dc.task_latency,
-                              "channels"),
-        command_drop=_number(craw, "command_drop", dc.command_drop,
-                             "channels"),
-        feedback_drop=_number(craw, "feedback_drop", dc.feedback_drop,
-                              "channels"),
-        data_drop=_number(craw, "data_drop", dc.data_drop, "channels"),
-    )
-    for fname in ("command_latency", "feedback_latency", "data_latency",
-                  "task_latency"):
-        if getattr(channels, fname) < 0:
-            raise ScenarioError(f"channels.{fname} must be >= 0")
-    for fname in ("command_drop", "feedback_drop", "data_drop"):
-        if not 0.0 <= getattr(channels, fname) <= 1.0:
-            raise ScenarioError(f"channels.{fname} must be in [0, 1]")
-
-    tasks_raw = raw.get("tasks", [])
-    if not isinstance(tasks_raw, list):
-        raise ScenarioError("tasks must be a list")
-
-    ticks = _integer(raw, "ticks", 6000, "scenario")
-    if ticks < 0:
-        raise ScenarioError("scenario.ticks must be >= 0")
-    dt = _number(raw, "dt", PHYSICS_DT, "scenario")
-    if dt <= 0.0:
-        raise ScenarioError("scenario.dt must be positive")
-
-    return Scenario(
-        name=str(raw.get("name", "scenario")),
-        seed=_integer(raw, "seed", 0, "scenario"),
-        ticks=ticks,
-        dt=dt,
-        world=world,
-        start=start,
-        robot=robot,
-        lidar=lidar,
-        instinct=instinct,
-        agent=agent,
-        channels=channels,
-        tasks=_parse_tasks(tasks_raw),
-    )
+    raw = _shape(raw, "scenario", {f.name for f in fields(Scenario)},
+                 ("world",))
+    rest = {k: v for k, v in raw.items() if k not in ("world", "tasks")}
+    scenario = replace(_fields(rest, Scenario(), "scenario"),
+                       world=_parse_world(raw["world"]),
+                       tasks=_parse_tasks(raw.get("tasks", [])))
+    _check(scenario)
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:
@@ -405,7 +295,7 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8 or nesting
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
     return parse_scenario(raw)
 
@@ -434,25 +324,8 @@ def random_scenario(
     before a mid-run event such as an agent kill).
     """
     rng = random.Random(seed)
-    bounds = Rect(-4.0, -4.0, 4.0, 4.0)
-    circles: list[Circle] = []
-    rects: list[Rect] = []
-    for _ in range(rng.randint(*n_obstacles)):
-        if rng.random() < 0.6:
-            radius = rng.uniform(0.2, 0.6)
-            circles.append(Circle(
-                rng.uniform(bounds.x0 + radius, bounds.x1 - radius),
-                rng.uniform(bounds.y0 + radius, bounds.y1 - radius),
-                radius,
-            ))
-        else:
-            w = rng.uniform(0.3, 1.2)
-            h = rng.uniform(0.3, 1.2)
-            x0 = rng.uniform(bounds.x0, bounds.x1 - w)
-            y0 = rng.uniform(bounds.y0, bounds.y1 - h)
-            rects.append(Rect(x0, y0, x0 + w, y0 + h))
-    world = WorldModel(bounds=bounds, circles=tuple(circles),
-                       rects=tuple(rects))
+    world = random_world(rng, n_obstacles)
+    bounds = world.bounds
 
     def clear_point() -> tuple[float, float]:
         for _ in range(1000):

@@ -13,8 +13,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-LAYERS = ("EXTERNAL", "DECISION", "INSTINCT", "DEVICE", "BUS")
-
 # Instinct-tick phases for the ordering audit. Survival work (status check,
 # safe mode, governor, roaming) must precede command handling within a tick.
 _SURVIVAL_KINDS = {"status", "safe_mode_entered", "safe_mode_exited",

@@ -129,6 +129,32 @@ class WorldModel:
         return hash((self.bounds, self.circles, self.rects))
 
 
+def random_world(rng: random.Random,
+                 n_obstacles: tuple[int, int]) -> WorldModel:
+    """Seeded world in the 8 m square around the origin: a count drawn from
+    ``n_obstacles`` (inclusive), each a circle of radius 0.2-0.6 m with
+    probability 0.6, else a rect with sides of 0.3-1.2 m."""
+    bounds = Rect(-4.0, -4.0, 4.0, 4.0)
+    circles: list[Circle] = []
+    rects: list[Rect] = []
+    for _ in range(rng.randint(*n_obstacles)):
+        if rng.random() < 0.6:
+            radius = rng.uniform(0.2, 0.6)
+            circles.append(Circle(
+                rng.uniform(bounds.x0 + radius, bounds.x1 - radius),
+                rng.uniform(bounds.y0 + radius, bounds.y1 - radius),
+                radius,
+            ))
+        else:
+            w = rng.uniform(0.3, 1.2)
+            h = rng.uniform(0.3, 1.2)
+            x0 = rng.uniform(bounds.x0, bounds.x1 - w)
+            y0 = rng.uniform(bounds.y0, bounds.y1 - h)
+            rects.append(Rect(x0, y0, x0 + w, y0 + h))
+    return WorldModel(bounds=bounds, circles=tuple(circles),
+                      rects=tuple(rects))
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Physical robot state; ``collided`` is monotone within a run."""

@@ -430,6 +430,18 @@ class TestSafetyCheck:
         reach = pts[:, 0].max()
         assert reach > 0.5 ** 2 / (2 * ROBOT.a_max)  # beyond ideal braking arc
 
+    @pytest.mark.parametrize("v_left, v_right", [
+        (math.inf, math.inf),   # omega is NaN and the horizon infinite
+        (math.inf, 0.3),        # sin(inf)
+        (math.nan, 0.3),
+        (0.3, -math.inf),
+    ])
+    def test_trajectory_rejects_non_finite_wheel_speed(self, v_left,
+                                                       v_right):
+        with pytest.raises(ValueError, match="non-finite wheel speed"):
+            predict_trajectory(Pose2D(0, 0, 0), v_left, v_right, PHYSICS_DT,
+                               ROBOT, PARAMS.dt_pred)
+
 
 class TestRefusal:
     def make_refusing_stack(self):

@@ -6,6 +6,8 @@ from dataclasses import replace
 import math
 from pathlib import Path
 
+import pytest
+
 from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
 from instinctsim.config import InstinctParams
@@ -276,6 +278,19 @@ class TestCli:
                          "--agent", "hallucinate",
                          "--hallucination-prob", "1.0", "--ticks", "300"])
         assert code == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--ticks", "-1"], "scenario.ticks must be >= 0"),
+        (["--hallucination-prob", "1.5"],
+         "agent.hallucination_probability must be in [0, 1]"),
+        (["--hallucination-prob", "nan"],
+         "agent.hallucination_probability must be finite"),
+    ])
+    def test_bad_override_names_scenario_field(self, tmp_path, capsys,
+                                               flags, message):
+        path = self.scenario_file(tmp_path)
+        assert cli_main(["--scenario", str(path), *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestLiveMode:

@@ -1,10 +1,22 @@
 """Scenario schema tests: defaults, strictness, round-trips, generation."""
 
 import json
+import math
+import re
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
+from instinctsim.cli import main as cli_main
+from instinctsim.config import (
+    ChannelParams,
+    InstinctParams,
+    LidarParams,
+    RobotParams,
+)
 from instinctsim.scenario import (
+    AgentSpec,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -13,6 +25,9 @@ from instinctsim.scenario import (
     save_scenario,
 )
 from instinctsim.world import clearance
+
+SCHEMA_DOC = (Path(__file__).resolve().parent.parent / "docs"
+              / "scenario_schema.md")
 
 MINIMAL = {
     "world": {"bounds": {"min": [-4, -4], "max": [4, 4]}},
@@ -78,7 +93,152 @@ class TestParsing:
             parse_scenario(raw)
 
 
+def with_change(path, value):
+    """A copy of MINIMAL with ``value`` at the key path ``path``."""
+    raw = json.loads(json.dumps(MINIMAL))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+PATROL = {"kind": "PATROL", "waypoints": [[1.0, 0.0]]}
+
+# (key path, bad value, field the error must name)
+MALFORMED = [
+    (("robot",), 5, "robot"),
+    (("robot",), ["radius"], "robot"),
+    (("start",), 5, "start"),
+    (("instinct",), None, "instinct"),
+    (("world",), ["bounds"], "world"),
+    (("world", "bounds"), 5, "world.bounds"),
+    (("world", "circles"), 5, "world.circles"),
+    (("world", "circles"), [5], "world.circles[0]"),
+    (("world", "rects"), [5], "world.rects[0]"),
+    (("tasks",), [5], "tasks[0]"),
+    (("tasks", 0, "goal"), 5, "tasks[0].goal"),
+    (("tasks", 0, "goal"), dict(PATROL, waypoints=5),
+     "tasks[0].goal.waypoints"),
+]
+
+NON_FINITE = [
+    (("world", "bounds", "min"), [-math.inf, -4], "world.bounds.min[0]"),
+    (("world", "bounds", "max"), [4, math.nan], "world.bounds.max[1]"),
+    (("world", "circles"), [{"center": [math.inf, 0], "radius": 0.3}],
+     "world.circles[0].center[0]"),
+    (("world", "circles"), [{"center": [10**400, 0], "radius": 0.3}],
+     "world.circles[0].center[0]"),
+    (("tasks", 0, "goal"), dict(PATROL, waypoints=[[math.nan, 0]]),
+     "tasks[0].goal.waypoints[0][0]"),
+]
+
+WRONG_TYPE = [
+    (("name",), 5, "scenario.name"),
+    (("agent",), {"llm_model": 5}, "agent.llm_model"),
+    (("agent",), {"kill_tick": 1.5}, "agent.kill_tick"),
+    (("instinct",), {"roaming": 1}, "instinct.roaming"),
+    (("lidar",), {"beams": 36.0}, "lidar.beams"),
+    (("robot",), {"radius": True}, "robot.radius"),
+]
+
+
+def ids(cases):
+    return [where for _, _, where in cases]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("path, value, where", MALFORMED,
+                             ids=ids(MALFORMED))
+    def test_non_object_part_rejected(self, path, value, where):
+        pattern = re.escape(where) + " must be (an object|a list)"
+        with pytest.raises(ScenarioError, match=pattern):
+            parse_scenario(with_change(path, value))
+
+    @pytest.mark.parametrize("path, value, where", NON_FINITE,
+                             ids=ids(NON_FINITE))
+    def test_non_finite_coordinate_rejected(self, path, value, where):
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{where} must be finite")):
+            parse_scenario(with_change(path, value))
+
+    @pytest.mark.parametrize("path, value, where", WRONG_TYPE,
+                             ids=ids(WRONG_TYPE))
+    def test_wrong_scalar_type_rejected(self, path, value, where):
+        with pytest.raises(ScenarioError, match=re.escape(f"{where} must be")):
+            parse_scenario(with_change(path, value))
+
+    @pytest.mark.parametrize("path, value, where",
+                             MALFORMED + NON_FINITE + WRONG_TYPE,
+                             ids=ids(MALFORMED + NON_FINITE + WRONG_TYPE))
+    def test_cli_exits_2(self, tmp_path, capsys, path, value, where):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(with_change(path, value)))
+        assert cli_main(["--scenario", str(scenario)]) == 2
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["bad-utf8", "deep-nesting"])
+    def test_undecodable_file_is_scenario_error(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(str(path))
+
+
+class TestSchemaDoc:
+    def test_example_sections_equal_defaults(self):
+        text = SCHEMA_DOC.read_text(encoding="utf-8")
+        example = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+        sc = parse_scenario(json.loads(example))
+        assert sc.robot == RobotParams()
+        assert sc.lidar == LidarParams()
+        assert sc.instinct == InstinctParams()
+        assert sc.agent == AgentSpec()
+        assert sc.channels == ChannelParams()
+        default = Scenario()
+        assert (sc.seed, sc.ticks, sc.dt) == (default.seed, default.ticks,
+                                              default.dt)
+
+
+# Fields whose value is one of a fixed set of names.
+CHOICES = {"backend": "hallucinate"}
+
+
+def changed(obj):
+    """A copy of the dataclass ``obj`` with every field but the world and
+    the tasks set to a valid non-default value, sections included."""
+    values = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in ("world", "tasks"):
+            continue
+        if is_dataclass(value):
+            new = changed(value)
+        elif f.name in CHOICES:
+            new = CHOICES[f.name]
+        elif isinstance(value, bool):
+            new = not value
+        elif isinstance(value, float):
+            new = value + 0.125
+        elif value is None or isinstance(value, int):
+            new = (value or 0) + 1
+        elif isinstance(value, str):
+            new = value + "-2"
+        else:
+            pytest.fail(f"no non-default value for {f.name}: {value!r}")
+        assert new != value, f.name
+        values[f.name] = new
+    return replace(obj, **values)
+
+
 class TestRoundTrip:
+    def test_every_field_round_trips(self, tmp_path):
+        sc = changed(parse_scenario(json.loads(json.dumps(MINIMAL))))
+        path = tmp_path / "every.json"
+        save_scenario(sc, str(path))
+        assert load_scenario(str(path)) == sc
+
     def test_load_save_load_equals(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
         raw["world"]["circles"] = [{"center": [1.0, 1.0], "radius": 0.4}]
