@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .bus import Channel
-from .config import AgentParams, RobotParams
+from .config import BACKENDS, AgentParams, RobotParams
 from .messages import (
     Feedback,
     FeedbackStatus,
@@ -32,7 +32,15 @@ from .messages import (
     sector_index,
 )
 from .trace import TraceRecorder
-from .world import wrap_angle
+from .world import Rect, wrap_angle
+
+# Reflection, detour and completion tunables of the rule planner.
+BLOCKED_EXPIRY_TICKS = 400
+MAX_CONSECUTIVE_FAILURES = 3
+DETOUR_DISTANCE = 1.0      # m
+DETOUR_FIT_MARGIN = 0.3    # extra range a sector needs beyond the waypoint
+DETOUR_SPEED = 0.15        # cautious cap for post-refusal detours, m/s
+GOAL_TOLERANCE = 0.1       # task-level completion distance, m
 
 
 class GoalKind(Enum):
@@ -100,7 +108,6 @@ def self_reflection(
     summary: ScanSummary,
     sent_commands: dict[int, HighCommand],
     now: int,
-    params: AgentParams,
 ) -> ReflectionNote:
     """Fold terminal feedback into the notes.
 
@@ -123,7 +130,7 @@ def self_reflection(
                         - summary.pose.theta
                     )
                     sector = sector_index(bearing)
-                    notes.blocked_bearings[sector] = now + params.blocked_expiry_ticks
+                    notes.blocked_bearings[sector] = now + BLOCKED_EXPIRY_TICKS
     return notes
 
 
@@ -139,7 +146,6 @@ def plan_rule(
     task: Task,
     notes: ReflectionNote,
     summary: ScanSummary,
-    params: AgentParams,
     next_id,
     now: int,
 ) -> list[HighCommand]:
@@ -165,7 +171,7 @@ def plan_rule(
         return [HighCommand(next_id(), HighKind.MOVE_TO, now,
                             x=goal[0], y=goal[1])]
     # detour: nearest fitting unblocked sector by angular distance, then index
-    fit_range = params.detour_distance + params.detour_fit_margin
+    fit_range = DETOUR_DISTANCE + DETOUR_FIT_MARGIN
     candidates = sorted(
         (k for k in range(N_SECTORS)
          if k not in notes.blocked_bearings
@@ -176,10 +182,10 @@ def plan_rule(
     if not candidates:
         return []  # fully boxed in: wait for expiries
     direction = pose.theta + sector_angle(candidates[0])
-    wx = pose.x + params.detour_distance * math.cos(direction)
-    wy = pose.y + params.detour_distance * math.sin(direction)
+    wx = pose.x + DETOUR_DISTANCE * math.cos(direction)
+    wy = pose.y + DETOUR_DISTANCE * math.sin(direction)
     return [HighCommand(next_id(), HighKind.MOVE_TO, now, x=wx, y=wy,
-                        speed=params.detour_speed)]
+                        speed=DETOUR_SPEED)]
 
 
 def hallucinate_wrap(
@@ -187,7 +193,7 @@ def hallucinate_wrap(
     probability: float,
     rng: random.Random,
     summary: ScanSummary | None,
-    bounds_span: tuple[float, float, float, float],
+    bounds: Rect,
     robot: RobotParams,
     now: int,
     lidar_max_range: float = 5.0,
@@ -207,7 +213,7 @@ def hallucinate_wrap(
         if probability <= 0.0 or rng.random() >= probability:
             out.append((cmd, None))
             continue
-        replacement = _adversarial_command(cmd, rng, summary, bounds_span,
+        replacement = _adversarial_command(cmd, rng, summary, bounds,
                                            robot, now, lidar_max_range)
         out.append((replacement, cmd))
     return out
@@ -217,12 +223,11 @@ def _adversarial_command(
     cmd: HighCommand,
     rng: random.Random,
     summary: ScanSummary | None,
-    bounds_span: tuple[float, float, float, float],
+    bounds: Rect,
     robot: RobotParams,
     now: int,
     lidar_max_range: float,
 ) -> HighCommand:
-    x0, y0, x1, y1 = bounds_span
     occupied: list[int] = []
     if summary is not None:
         occupied = [k for k in range(N_SECTORS)
@@ -242,23 +247,28 @@ def _adversarial_command(
                            y=summary.pose.y + reach * math.sin(direction),
                            speed=speed)
     # far out of bounds but still finite
-    span = max(x1 - x0, y1 - y0)
+    span = max(bounds.x1 - bounds.x0, bounds.y1 - bounds.y0)
     angle = rng.uniform(-math.pi, math.pi)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    cx, cy = 0.5 * (bounds.x0 + bounds.x1), 0.5 * (bounds.y0 + bounds.y1)
     return HighCommand(cmd.id, HighKind.MOVE_TO, now,
                        x=cx + 3.0 * span * math.cos(angle),
                        y=cy + 3.0 * span * math.sin(angle))
 
 
 def parse_llm_commands(
-    response_text: str, v_wheel_max: float, next_id, now: int
+    response_text, v_wheel_max: float, next_id, now: int
 ) -> list[HighCommand]:
     """Parse a structured command array out of model output.
 
-    The first JSON array found is taken; every element must be an object
-    with a known "kind" and in-range parameters. Any invalid element rejects
-    the whole batch (raise, never silently clamp).
+    The output must be a string (a reply's ``content`` is decoded JSON and
+    may be null, a list or a number). The first JSON array found is taken;
+    every element must be an object with a known "kind" and in-range
+    parameters. Any invalid element rejects the whole batch (raise, never
+    silently clamp).
     """
+    if not isinstance(response_text, str):
+        raise MalformedCommandError(
+            f"response is not text: {type(response_text).__name__}")
     start = response_text.find("[")
     end = response_text.rfind("]")
     if start < 0 or end <= start:
@@ -396,15 +406,13 @@ class DecisionAgent:
         recorder: TraceRecorder,
         robot: RobotParams,
         params: AgentParams,
-        bounds_span: tuple[float, float, float, float],
-        backend: str = "rule",
-        hallucination_probability: float = 0.0,
+        bounds: Rect,
         hallucination_rng: random.Random | None = None,
         llm: LlmBackend | None = None,
         lidar_max_range: float = 5.0,
     ) -> None:
-        if backend not in ("rule", "hallucinate", "llm"):
-            raise ValueError(f"unknown backend: {backend}")
+        if params.backend not in BACKENDS:
+            raise ValueError(f"unknown backend: {params.backend}")
         self.task_channel = task_channel
         self.command_channel = command_channel
         self.feedback_channel = feedback_channel
@@ -412,9 +420,7 @@ class DecisionAgent:
         self.recorder = recorder
         self.robot = robot
         self.params = params
-        self.bounds_span = bounds_span
-        self.backend = backend
-        self.hallucination_probability = hallucination_probability
+        self.bounds = bounds
         self.hallucination_rng = hallucination_rng or random.Random(0)
         self.llm = llm
         self.lidar_max_range = lidar_max_range
@@ -454,7 +460,7 @@ class DecisionAgent:
         # (3) self-reflection
         self.notes.expire(now)
         self_reflection(self.notes, feedback, self.summary,
-                        self.sent_commands, now, self.params)
+                        self.sent_commands, now)
         task = self._current_task()
         self._apply_terminal_feedback(feedback, task)
         task = self._current_task()
@@ -484,15 +490,17 @@ class DecisionAgent:
 
     def _plan(self, task: Task, now: int
               ) -> list[tuple[HighCommand, HighCommand | None]]:
-        if self.backend == "llm":
+        backend = self.params.backend
+        if backend == "llm":
             planned = self._plan_llm(task, now)
         else:
-            planned = plan_rule(task, self.notes, self.summary, self.params,
+            planned = plan_rule(task, self.notes, self.summary,
                                 self._next_cmd_id, now)
-        if self.backend == "hallucinate":
-            return hallucinate_wrap(planned, self.hallucination_probability,
+        if backend == "hallucinate":
+            return hallucinate_wrap(planned,
+                                    self.params.hallucination_probability,
                                     self.hallucination_rng, self.summary,
-                                    self.bounds_span, self.robot, now,
+                                    self.bounds, self.robot, now,
                                     self.lidar_max_range)
         return [(cmd, None) for cmd in planned]
 
@@ -517,8 +525,7 @@ class DecisionAgent:
             if fb.status is FeedbackStatus.COMPLETED:
                 self._advance_task(task)
             elif fb.status is FeedbackStatus.REFUSED:
-                if self.notes.consecutive_failures >= \
-                        self.params.max_consecutive_failures:
+                if self.notes.consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                     task.state = TaskState.BLOCKED
                     self.recorder.emit("DECISION", "task_blocked",
                                        task.to_payload())
@@ -528,14 +535,12 @@ class DecisionAgent:
         if task.kind is GoalKind.HOLD:
             task.state = TaskState.COMPLETED
         elif task.kind is GoalKind.GOTO:
-            if math.hypot(task.x - pose.x, task.y - pose.y) <= \
-                    self.params.goal_tolerance:
+            if math.hypot(task.x - pose.x, task.y - pose.y) <= GOAL_TOLERANCE:
                 task.state = TaskState.COMPLETED
         elif task.kind is GoalKind.PATROL:
             goal = task.goal_point()
             if goal is not None and math.hypot(
-                    goal[0] - pose.x, goal[1] - pose.y
-            ) <= self.params.goal_tolerance:
+                    goal[0] - pose.x, goal[1] - pose.y) <= GOAL_TOLERANCE:
                 task.waypoint_idx += 1
                 if task.waypoint_idx >= len(task.waypoints):
                     task.state = TaskState.COMPLETED  # single pass

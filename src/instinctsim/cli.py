@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import BACKENDS
 from .runner import run_live, run_sim
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .trace import write_metrics, write_trace
@@ -20,7 +21,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario seed")
     parser.add_argument("--ticks", type=int, default=None,
                         help="override the run length in ticks")
-    parser.add_argument("--agent", choices=("rule", "hallucinate", "llm"),
+    parser.add_argument("--agent", choices=BACKENDS,
                         default=None, help="override the planner backend")
     parser.add_argument("--hallucination-prob", type=float, default=None,
                         help="override the hallucination probability")

@@ -1,8 +1,9 @@
 """Tunable parameters with desk-scale indoor-robot defaults.
 
-Every value here can be overridden per run through the scenario file; the
-defaults keep the whole stack consistent (d_stop > d_min so the reactive
-governor has authority before the predictive band is reached).
+Each ``*Params`` class is one section of the scenario file, so every value
+here can be overridden per run; the defaults keep the whole stack consistent
+(d_stop > d_min so the reactive governor has authority before the
+predictive band is reached).
 """
 
 from __future__ import annotations
@@ -45,15 +46,16 @@ class InstinctParams:
     roaming: bool = False         # idle random-arc roaming
 
 
+BACKENDS = ("rule", "hallucinate", "llm")  # planner backends of the agent
+
+
 @dataclass(frozen=True)
 class AgentParams:
+    backend: str = "rule"         # one of BACKENDS
     period_ticks: int = 50        # agent cadence relative to the physics tick
-    blocked_expiry_ticks: int = 400
-    max_consecutive_failures: int = 3
-    detour_distance: float = 1.0  # m
-    detour_fit_margin: float = 0.3   # extra range a sector needs beyond the waypoint
-    detour_speed: float = 0.15    # cautious cap for post-refusal detours, m/s
-    goal_tolerance: float = 0.1   # task-level completion distance, m
+    hallucination_probability: float = 0.0
+    kill_tick: int | None = None  # the agent dies at this tick, if set
+    llm_model: str = "default"
 
 
 @dataclass(frozen=True)

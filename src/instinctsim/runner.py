@@ -20,7 +20,7 @@ import numpy as np
 
 from .agent import DecisionAgent, GoalKind, LlmBackend, Task
 from .bus import Channel
-from .config import AgentParams, derive_rng
+from .config import derive_rng
 from .instinct import InstinctController
 from .scenario import Scenario
 from .trace import MetricsAccumulator, RunMetrics, TraceEvent, TraceRecorder
@@ -143,7 +143,6 @@ def build_runtime(
         physics_dt=scenario.dt,
         roam_rng=derive_rng(seed, "roam"),
     )
-    b = scenario.world.bounds
     agent = DecisionAgent(
         task_channel=task_channel,
         command_channel=command_channel,
@@ -151,10 +150,8 @@ def build_runtime(
         data_channel=data_channel,
         recorder=recorder,
         robot=scenario.robot,
-        params=AgentParams(period_ticks=scenario.agent.period_ticks),
-        bounds_span=(b.x0, b.y0, b.x1, b.y1),
-        backend=scenario.agent.backend,
-        hallucination_probability=scenario.agent.hallucination_probability,
+        params=scenario.agent,
+        bounds=scenario.world.bounds,
         hallucination_rng=derive_rng(seed, "hallucinate"),
         llm=(LlmBackend(model=scenario.agent.llm_model)
              if scenario.agent.backend == "llm" else None),

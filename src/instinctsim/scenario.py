@@ -20,6 +20,8 @@ import random
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .config import (
+    AgentParams,
+    BACKENDS,
     ChannelParams,
     InstinctParams,
     LidarParams,
@@ -43,15 +45,6 @@ class TaskSpec:
 
 
 @dataclass(frozen=True)
-class AgentSpec:
-    backend: str = "rule"           # rule | hallucinate | llm
-    period_ticks: int = 50
-    hallucination_probability: float = 0.0
-    kill_tick: int | None = None
-    llm_model: str = "default"
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
     seed: int = 0
@@ -64,7 +57,7 @@ class Scenario:
     robot: RobotParams = RobotParams()
     lidar: LidarParams = LidarParams()
     instinct: InstinctParams = InstinctParams()
-    agent: AgentSpec = AgentSpec()
+    agent: AgentParams = AgentParams()
     channels: ChannelParams = ChannelParams()
     tasks: tuple[TaskSpec, ...] = ()
 
@@ -265,7 +258,7 @@ def _check(sc: Scenario) -> None:
     require(i.d_min < i.d_stop < i.d_slow,
             "instinct requires d_min < d_stop < d_slow")
     require(i.dt_pred > 0.0, "instinct.dt_pred must be positive")
-    require(sc.agent.backend in ("rule", "hallucinate", "llm"),
+    require(sc.agent.backend in BACKENDS,
             f"agent.backend unknown: {sc.agent.backend!r}")
     require(sc.agent.period_ticks >= 1, "agent.period_ticks must be >= 1")
     require(0.0 <= sc.agent.hallucination_probability <= 1.0,
@@ -349,8 +342,8 @@ def random_scenario(
         world=world,
         start=Pose2D(sx, sy, rng.uniform(-math.pi, math.pi)),
         instinct=InstinctParams(roaming=roaming),
-        agent=AgentSpec(backend=backend,
-                        hallucination_probability=hallucination_probability,
-                        kill_tick=kill_tick),
+        agent=AgentParams(backend=backend,
+                          hallucination_probability=hallucination_probability,
+                          kill_tick=kill_tick),
         tasks=(TaskSpec(0, "GOTO", x=gx, y=gy),),
     )

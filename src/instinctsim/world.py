@@ -259,25 +259,6 @@ def beam_distances(
     return best
 
 
-def raycast(
-    world: WorldModel,
-    origin: tuple[float, float],
-    angle: float,
-    max_range: float,
-) -> tuple[float, bool]:
-    """Distance to the nearest obstacle surface or bounds edge along a ray.
-
-    Returns ``(range, hit)`` where range is capped at max_range and hit is
-    False exactly when the cap applied.
-    """
-    if max_range <= 0.0:
-        raise ValueError("max_range must be positive")
-    t = float(beam_distances(world, origin[0], origin[1], np.array([angle]))[0])
-    if t <= max_range:
-        return t, True
-    return max_range, False
-
-
 @functools.lru_cache(maxsize=32)
 def _beam_offsets(n_beams: int) -> np.ndarray:
     """Beam angles relative to the heading, ``(2*pi / n_beams) * i``."""
@@ -354,23 +335,12 @@ def step_world(
     cmd_v_right: float,
     dt: float,
     robot: RobotParams,
-) -> RobotState:
+) -> tuple[RobotState, float]:
     """One physics tick: wheel speeds slew toward the command under the
     acceleration limit, the pose follows the exact arc, load reports the
     fraction of the acceleration budget consumed, and a collision latches
-    once clearance drops below the body radius."""
-    return _step_world(state, world, cmd_v_left, cmd_v_right, dt, robot)[0]
-
-
-def _step_world(
-    state: RobotState,
-    world: WorldModel,
-    cmd_v_left: float,
-    cmd_v_right: float,
-    dt: float,
-    robot: RobotParams,
-) -> tuple[RobotState, float]:
-    """``step_world`` plus the ground-truth clearance at the new pose."""
+    once clearance drops below the body radius. Returns the new state and
+    its ground-truth clearance."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     cmd_v_left = _clamp(cmd_v_left, -robot.v_wheel_max, robot.v_wheel_max)
@@ -434,7 +404,7 @@ class DeviceSim:
         self.set_wheel_command(0.0, 0.0)
 
     def step(self, dt: float) -> RobotState:
-        self.state, gap = _step_world(
+        self.state, gap = step_world(
             self.state, self.world, self.cmd_v_left, self.cmd_v_right, dt, self.robot
         )
         self._clearance = (self.state.pose, gap)

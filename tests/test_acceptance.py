@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from instinctsim.config import InstinctParams, PHYSICS_DT, RobotParams
@@ -22,8 +23,8 @@ from instinctsim.world import (
     Pose2D,
     Rect,
     WorldModel,
+    beam_distances,
     clearance,
-    raycast,
     step_kinematics,
     wrap_angle,
 )
@@ -281,7 +282,7 @@ def test_criterion_8_raycast_micro_oracle():
         if clearance(world, ox, oy) <= 1e-3:
             continue
         angle = rng.uniform(-math.pi, math.pi)
-        got, _ = raycast(world, (ox, oy), angle, 5.0)
+        got = min(beam_distances(world, ox, oy, np.array([angle]))[0], 5.0)
         # marching oracle with clearance-sized steps floored at 1e-4
         t = 0.0
         dx, dy = math.cos(angle), math.sin(angle)

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instinctsim import runner
 from instinctsim.agent import (
+    BLOCKED_EXPIRY_TICKS,
+    DETOUR_DISTANCE,
     DecisionAgent,
     GoalKind,
     LlmBackend,
@@ -34,12 +37,12 @@ from instinctsim.messages import (
     ScanSummary,
     VerdictReason,
 )
+from instinctsim.scenario import Scenario, TaskSpec
 from instinctsim.trace import TraceRecorder
-from instinctsim.world import Mode, Pose2D
+from instinctsim.world import Mode, Pose2D, Rect
 
 ROBOT = RobotParams()
-PARAMS = AgentParams()
-BOUNDS_SPAN = (-4.0, -4.0, 4.0, 4.0)
+BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
 
 
 def make_summary(pose=Pose2D(0, 0, 0), sector_min=None, tick=0):
@@ -69,10 +72,9 @@ def make_agent(backend="rule", probability=0.0, seed=0):
         data_channel=data_ch,
         recorder=recorder,
         robot=ROBOT,
-        params=PARAMS,
-        bounds_span=BOUNDS_SPAN,
-        backend=backend,
-        hallucination_probability=probability,
+        params=AgentParams(backend=backend,
+                           hallucination_probability=probability),
+        bounds=BOUNDS,
         hallucination_rng=random.Random(seed),
     )
     return SimpleNamespace(agent=agent, task=task_ch, command=cmd_ch,
@@ -92,9 +94,9 @@ class TestSelfReflection:
                           x=2.0 * math.cos(math.radians(10)),
                           y=2.0 * math.sin(math.radians(10)))
         self_reflection(notes, [refusal_feedback(1)], make_summary(),
-                        {1: cmd}, now=100, params=PARAMS)
+                        {1: cmd}, now=100)
         assert set(notes.blocked_bearings) == {0}
-        assert notes.blocked_bearings[0] == 100 + PARAMS.blocked_expiry_ticks
+        assert notes.blocked_bearings[0] == 100 + BLOCKED_EXPIRY_TICKS
         assert notes.consecutive_failures == 1
 
     def test_third_refusal_marks_blocked(self):
@@ -115,7 +117,7 @@ class TestSelfReflection:
         notes = ReflectionNote(blocked_bearings={0: 500, 3: 600},
                                consecutive_failures=2)
         self_reflection(notes, [Feedback(1, FeedbackStatus.COMPLETED, "DONE", 0)],
-                        make_summary(), {}, now=100, params=PARAMS)
+                        make_summary(), {}, now=100)
         assert notes.blocked_bearings == {}
         assert notes.consecutive_failures == 0
 
@@ -134,7 +136,7 @@ class TestPlanRule:
 
     def test_direct_path(self):
         task = Task(1, GoalKind.GOTO, x=3.0, y=2.0)
-        cmds = plan_rule(task, ReflectionNote(), make_summary(), PARAMS,
+        cmds = plan_rule(task, ReflectionNote(), make_summary(),
                          self.next_id(), now=0)
         assert len(cmds) == 1
         assert cmds[0].kind is HighKind.MOVE_TO
@@ -143,12 +145,12 @@ class TestPlanRule:
     def test_detour_when_goal_sector_blocked(self):
         task = Task(1, GoalKind.GOTO, x=3.0, y=0.0)  # goal dead ahead: sector 0
         notes = ReflectionNote(blocked_bearings={0: 10_000})
-        cmds = plan_rule(task, notes, make_summary(), PARAMS,
+        cmds = plan_rule(task, notes, make_summary(),
                          self.next_id(), now=0)
         assert len(cmds) == 1
         wp = (cmds[0].x, cmds[0].y)
         assert wp != (3.0, 0.0)
-        assert math.hypot(*wp) == pytest.approx(PARAMS.detour_distance)
+        assert math.hypot(*wp) == pytest.approx(DETOUR_DISTANCE)
         # detour heads into an adjacent sector, not the blocked one
         bearing = math.atan2(wp[1], wp[0])
         assert abs(bearing) == pytest.approx(math.pi / 4.0)
@@ -157,19 +159,19 @@ class TestPlanRule:
         task = Task(1, GoalKind.GOTO, x=3.0, y=0.0)
         notes = ReflectionNote(
             blocked_bearings={k: 10_000 for k in range(8)})
-        assert plan_rule(task, notes, make_summary(), PARAMS,
+        assert plan_rule(task, notes, make_summary(),
                          self.next_id(), now=0) == []
 
     def test_patrol_heads_for_current_waypoint(self):
         task = Task(1, GoalKind.PATROL, waypoints=((1.0, 0.0), (0.0, 1.0)),
                     waypoint_idx=1)
-        cmds = plan_rule(task, ReflectionNote(), make_summary(), PARAMS,
+        cmds = plan_rule(task, ReflectionNote(), make_summary(),
                          self.next_id(), now=0)
         assert (cmds[0].x, cmds[0].y) == (0.0, 1.0)
 
     def test_hold_stops(self):
         cmds = plan_rule(Task(1, GoalKind.HOLD), ReflectionNote(),
-                         make_summary(), PARAMS, self.next_id(), now=0)
+                         make_summary(), self.next_id(), now=0)
         assert cmds[0].kind is HighKind.STOP
 
 
@@ -180,14 +182,14 @@ class TestHallucinateWrap:
 
     def test_probability_zero_is_identity(self):
         out = hallucinate_wrap(self.plan(), 0.0, random.Random(1),
-                               make_summary(), BOUNDS_SPAN, ROBOT, 0)
+                               make_summary(), BOUNDS, ROBOT, 0)
         assert [c for c, orig in out] == self.plan()
         assert all(orig is None for _, orig in out)
 
     def test_probability_one_replaces_every_command(self):
         plan = self.plan()
         out = hallucinate_wrap(plan, 1.0, random.Random(1), make_summary(),
-                               BOUNDS_SPAN, ROBOT, 0)
+                               BOUNDS, ROBOT, 0)
         assert len(out) == len(plan)
         assert all(orig is not None for _, orig in out)
         for cmd, orig in out:
@@ -198,7 +200,7 @@ class TestHallucinateWrap:
         def run(seed):
             return hallucinate_wrap(self.plan(), 0.5, random.Random(seed),
                                     make_summary(sector_min=[2.0] + [5.0] * 7),
-                                    BOUNDS_SPAN, ROBOT, 0)
+                                    BOUNDS, ROBOT, 0)
 
         a = [c.to_payload() for c, _ in run(7)]
         b = [c.to_payload() for c, _ in run(7)]
@@ -209,7 +211,7 @@ class TestHallucinateWrap:
     def test_replacements_stay_wire_valid(self):
         out = hallucinate_wrap(self.plan(), 1.0, random.Random(3),
                                make_summary(sector_min=[1.0, 5, 5, 5, 2, 5, 5, 5]),
-                               BOUNDS_SPAN, ROBOT, 0)
+                               BOUNDS, ROBOT, 0)
         for cmd, _ in out:
             cmd.validate(ROBOT.v_wheel_max)  # must not raise
 
@@ -260,6 +262,13 @@ class TestParseLlmCommands:
         with pytest.raises(MalformedCommandError):
             parse_llm_commands("I cannot help with that.", 0.5,
                                self.next_id(), now=0)
+
+    @pytest.mark.parametrize("reply", [
+        None, [{"type": "text", "text": '[{"kind": "STOP"}]'}], 5,
+    ])
+    def test_non_text_reply_rejected(self, reply):
+        with pytest.raises(MalformedCommandError):
+            parse_llm_commands(reply, 0.5, self.next_id(), now=0)
 
     def test_rotate_and_path(self):
         text = ('[{"kind": "ROTATE_TO", "theta": 1.5},'
@@ -391,6 +400,23 @@ class TestAgentTick:
         stack.agent.tick(50)
         assert stack.agent.tasks[0].state is TaskState.ACTIVE
         assert len(stack.command.poll(50)) == 1  # replanned toward the goal
+
+    def test_null_llm_content_is_a_rejected_plan(self, monkeypatch):
+        class NullContent:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": None}}]}
+
+        monkeypatch.setattr(runner, "LlmBackend", lambda model: LlmBackend(
+            model=model, url="http://example/llm",
+            post=lambda *args, **kwargs: NullContent()))
+        sc = Scenario(ticks=200, agent=AgentParams(backend="llm"),
+                      tasks=(TaskSpec(0, "GOTO", x=1.0, y=1.0),))
+        kinds = [e.kind for e in runner.run_sim(sc)[0]]
+        assert "plan_rejected" in kinds
+        assert "agent_crashed" not in kinds
 
     def test_tasks_processed_fifo(self):
         stack = make_agent()

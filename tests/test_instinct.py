@@ -344,7 +344,7 @@ class TestConvert:
             if done:
                 break
             _, vl, vr = intent
-            state = step_world(state, world, vl, vr, PHYSICS_DT, ROBOT)
+            state, _ = step_world(state, world, vl, vr, PHYSICS_DT, ROBOT)
         assert done, "goal not reached within 60 simulated seconds"
         assert math.hypot(state.pose.x - 3.0, state.pose.y - 2.0) <= \
             PARAMS.eps_pos + 0.01

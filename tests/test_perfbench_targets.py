@@ -1,0 +1,24 @@
+"""The benchmark's per-layer tracer wraps program functions by name
+(``perfbench/spans.py``, ``TARGETS``); a rename or deletion must fail here,
+not only in the benchmark's own suite."""
+
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    targets = load_spans().TARGETS
+    assert targets
+    # the tracer patches ``vars(owner)[attr]`` in place
+    missing = [name for name, owner, attr in targets
+               if attr not in vars(owner)]
+    assert missing == []

@@ -10,10 +10,9 @@ import pytest
 
 from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
-from instinctsim.config import InstinctParams
+from instinctsim.config import AgentParams, InstinctParams
 from instinctsim.runner import run_live, run_sim
 from instinctsim.scenario import (
-    AgentSpec,
     Scenario,
     TaskSpec,
     load_scenario,
@@ -41,8 +40,8 @@ def small_scenario(seed=0, ticks=600, backend="rule", probability=0.0):
         ticks=ticks,
         world=world,
         start=Pose2D(0, 0, 0),
-        agent=AgentSpec(backend=backend,
-                        hallucination_probability=probability),
+        agent=AgentParams(backend=backend,
+                          hallucination_probability=probability),
         tasks=(TaskSpec(0, "GOTO", x=3.0, y=-2.0),),
     )
 
@@ -82,14 +81,14 @@ class TestDeterminism:
         """
         hallucinating = replace(
             small_scenario(backend="hallucinate", probability=0.3),
-            agent=AgentSpec(backend="hallucinate",
-                            hallucination_probability=0.3, kill_tick=120))
+            agent=AgentParams(backend="hallucinate",
+                              hallucination_probability=0.3, kill_tick=120))
         # idle roaming after the agent dies: roam_intent, braking from up
         # to full wheel speed, and two safe-mode entries and exits
         roaming = replace(
             small_scenario(ticks=2000),
             instinct=InstinctParams(roaming=True),
-            agent=AgentSpec(backend="rule", kill_tick=100))
+            agent=AgentParams(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
                      "4817b02240e0aa71645cae2a8d3a6f5e"
@@ -117,7 +116,7 @@ class TestAgentDropout:
     def test_instinct_continues_after_kill(self):
         sc = small_scenario(ticks=400)
         sc = Scenario(**{**sc.__dict__,
-                         "agent": AgentSpec(backend="rule", kill_tick=100)})
+                         "agent": AgentParams(backend="rule", kill_tick=100)})
         trace, metrics = run_sim(sc)
         status_ticks = [e.tick for e in trace
                         if e.layer == "INSTINCT" and e.kind == "status"]
@@ -159,7 +158,7 @@ class TestAgentDropout:
     def test_kill_at_zero_equals_no_agent_events(self):
         sc = small_scenario(ticks=200)
         sc = Scenario(**{**sc.__dict__,
-                         "agent": AgentSpec(backend="rule", kill_tick=0)})
+                         "agent": AgentParams(backend="rule", kill_tick=0)})
         trace, _ = run_sim(sc)
         assert not [e for e in trace if e.layer == "DECISION"]
         assert [e.tick for e in trace

@@ -8,15 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from instinctsim import config
 from instinctsim.cli import main as cli_main
 from instinctsim.config import (
+    AgentParams,
     ChannelParams,
     InstinctParams,
     LidarParams,
     RobotParams,
 )
 from instinctsim.scenario import (
-    AgentSpec,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -194,11 +195,20 @@ class TestSchemaDoc:
         assert sc.robot == RobotParams()
         assert sc.lidar == LidarParams()
         assert sc.instinct == InstinctParams()
-        assert sc.agent == AgentSpec()
+        assert sc.agent == AgentParams()
         assert sc.channels == ChannelParams()
         default = Scenario()
         assert (sc.seed, sc.ticks, sc.dt) == (default.seed, default.ticks,
                                               default.dt)
+
+    def test_every_params_class_is_a_section(self):
+        # config's docstring: every value there is settable per scenario
+        params = {obj for name, obj in vars(config).items()
+                  if name.endswith("Params") and is_dataclass(obj)}
+        sections = {type(getattr(Scenario(), f.name))
+                    for f in fields(Scenario)}
+        assert params
+        assert params - sections == set()
 
 
 # Fields whose value is one of a fixed set of names.

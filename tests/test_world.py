@@ -23,8 +23,8 @@ from instinctsim.world import (
     Rect,
     RobotState,
     WorldModel,
+    beam_distances,
     clearance,
-    raycast,
     scan,
     step_kinematics,
     step_world,
@@ -130,28 +130,28 @@ class TestStepKinematics:
 class TestRaycast:
     def test_collinear_circle(self):
         w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.0, 0.5),))
-        assert raycast(w, (0, 0), 0.0, 5.0) == (1.5, True)
+        assert beam_distances(w, 0, 0, np.array([0.0]))[0] == 1.5
 
     def test_no_hit_cap(self):
+        # uncapped: the ray runs on to the bounds edge; the scan caps it
+        # (TestScan.test_empty_world_all_capped)
         w = WorldModel(bounds=BIG)
-        assert raycast(w, (0, 0), 0.0, 5.0) == (5.0, False)
+        assert beam_distances(w, 0, 0, np.array([0.0]))[0] == 50.0
 
     def test_axis_aligned_rect_face(self):
         w = WorldModel(bounds=BIG, rects=(Rect(1.0, -1.0, 2.0, 1.0),))
-        assert raycast(w, (0, 0), 0.0, 5.0) == (1.0, True)
+        assert beam_distances(w, 0, 0, np.array([0.0]))[0] == 1.0
 
     def test_oblique_circle_against_marching(self):
         # 1e-4-step marching oracle gives 1.57470 for this geometry
         w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.4, 0.5),))
-        rng_val, hit = raycast(w, (0, 0), 0.3, 5.0)
-        assert hit
+        rng_val = beam_distances(w, 0, 0, np.array([0.3]))[0]
         assert rng_val == pytest.approx(1.57470, abs=1e-3)
         assert rng_val == pytest.approx(march_ray(w, (0, 0), 0.3, 5.0)[0], abs=1e-3)
 
     def test_bounds_edge_is_a_surface(self):
         w = WorldModel(bounds=Rect(-2.0, -2.0, 2.0, 2.0))
-        rng_val, hit = raycast(w, (0, 0), 0.0, 5.0)
-        assert (rng_val, hit) == (2.0, True)
+        assert beam_distances(w, 0, 0, np.array([0.0]))[0] == 2.0
 
     def test_random_rays_against_sphere_trace(self):
         rng = random.Random(7)
@@ -166,7 +166,7 @@ class TestRaycast:
             if clearance(world, ox, oy) <= 1e-3:
                 continue
             angle = rng.uniform(-math.pi, math.pi)
-            got, _ = raycast(world, (ox, oy), angle, 5.0)
+            got = min(beam_distances(world, ox, oy, np.array([angle]))[0], 5.0)
             want, _ = sphere_trace(world, (ox, oy), angle, 5.0)
             assert got == pytest.approx(want, abs=1e-3)
 
@@ -193,7 +193,8 @@ class TestScan:
         s = scan(w, pose, 36, 5.0)
         for i in range(36):
             angle = pose.theta + i * s.angle_increment
-            r, _ = raycast(w, (pose.x, pose.y), angle, 5.0)
+            r = min(beam_distances(w, pose.x, pose.y, np.array([angle]))[0],
+                    5.0)
             assert s.ranges[i] == r
 
     def test_lidar_soundness(self):
@@ -280,7 +281,7 @@ class TestStepWorld:
     def test_acceleration_clamp(self):
         w = WorldModel(bounds=BIG)
         s0 = RobotState(pose=Pose2D(0, 0, 0))
-        s1 = step_world(s0, w, 0.5, 0.5, 0.01, self.robot)
+        s1, _ = step_world(s0, w, 0.5, 0.5, 0.01, self.robot)
         assert s1.v_left == pytest.approx(0.01)
         assert s1.v_right == pytest.approx(0.01)
         assert s1.load == pytest.approx(1.0)
@@ -288,19 +289,19 @@ class TestStepWorld:
     def test_collision_threshold(self):
         w = WorldModel(bounds=BIG, circles=(Circle(0.6, 0.0, 0.5),))
         s0 = RobotState(pose=Pose2D(0, 0, 0))  # clearance 0.10 < radius 0.15
-        s1 = step_world(s0, w, 0.0, 0.0, 0.01, self.robot)
+        s1, _ = step_world(s0, w, 0.0, 0.0, 0.01, self.robot)
         assert s1.collided
 
     def test_zero_acceleration_zero_load(self):
         w = WorldModel(bounds=BIG)
         s0 = RobotState(pose=Pose2D(0, 0, 0), v_left=0.2, v_right=0.2)
-        s1 = step_world(s0, w, 0.2, 0.2, 0.01, self.robot)
+        s1, _ = step_world(s0, w, 0.2, 0.2, 0.01, self.robot)
         assert s1.load == 0.0
 
     def test_collided_is_monotone(self):
         w = WorldModel(bounds=BIG)
         s = RobotState(pose=Pose2D(0, 0, 0), collided=True)
-        s = step_world(s, w, 0.0, 0.0, 0.01, self.robot)
+        s, _ = step_world(s, w, 0.0, 0.0, 0.01, self.robot)
         assert s.collided
 
     def test_acceleration_bound_over_trajectory(self):
@@ -310,7 +311,7 @@ class TestStepWorld:
         dv_cap = self.robot.a_max * 0.01 + 1e-12
         for _ in range(500):
             cmd = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-            nxt = step_world(s, w, cmd[0], cmd[1], 0.01, self.robot)
+            nxt, _ = step_world(s, w, cmd[0], cmd[1], 0.01, self.robot)
             assert abs(nxt.v_left - s.v_left) <= dv_cap
             assert abs(nxt.v_right - s.v_right) <= dv_cap
             assert abs(nxt.v_left) <= self.robot.v_wheel_max
@@ -325,7 +326,7 @@ class TestStepWorld:
             s = RobotState(pose=Pose2D(0, 0, 0))
             out = []
             for cl, cr in cmds:
-                s = step_world(s, w, cl, cr, 0.01, self.robot)
+                s, _ = step_world(s, w, cl, cr, 0.01, self.robot)
                 out.append((s.pose.x, s.pose.y, s.pose.theta, s.v_left, s.v_right))
             return out
 
