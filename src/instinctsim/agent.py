@@ -23,6 +23,8 @@ from .config import BACKENDS, AgentParams, RobotParams
 from .messages import (
     Feedback,
     FeedbackStatus,
+    Goal,
+    GoalKind,
     HighCommand,
     HighKind,
     MalformedCommandError,
@@ -43,12 +45,6 @@ DETOUR_SPEED = 0.15        # cautious cap for post-refusal detours, m/s
 GOAL_TOLERANCE = 0.1       # task-level completion distance, m
 
 
-class GoalKind(Enum):
-    GOTO = "GOTO"
-    PATROL = "PATROL"
-    HOLD = "HOLD"
-
-
 class TaskState(Enum):
     PENDING = "PENDING"
     ACTIVE = "ACTIVE"
@@ -58,31 +54,21 @@ class TaskState(Enum):
 
 @dataclass
 class Task:
+    """A goal as the agent works on it; ``waypoint_idx`` counts the route
+    points reached so far."""
+
     id: int
-    kind: GoalKind
-    x: float | None = None
-    y: float | None = None
-    waypoints: tuple[tuple[float, float], ...] = ()
+    goal: Goal
     state: TaskState = TaskState.PENDING
     waypoint_idx: int = 0
 
     def goal_point(self) -> tuple[float, float] | None:
-        if self.kind is GoalKind.GOTO:
-            return (self.x, self.y)
-        if self.kind is GoalKind.PATROL and self.waypoints:
-            idx = min(self.waypoint_idx, len(self.waypoints) - 1)
-            return self.waypoints[idx]
-        return None
+        route = self.goal.route
+        return route[min(self.waypoint_idx, len(route) - 1)] if route else None
 
     def to_payload(self) -> dict:
-        out: dict = {"id": self.id, "kind": self.kind.value,
-                     "state": self.state.value}
-        if self.kind is GoalKind.GOTO:
-            out["x"] = self.x
-            out["y"] = self.y
-        elif self.kind is GoalKind.PATROL:
-            out["waypoints"] = [list(w) for w in self.waypoints]
-        return out
+        return {"id": self.id, "state": self.state.value,
+                **self.goal.to_payload()}
 
 
 @dataclass
@@ -158,7 +144,7 @@ def plan_rule(
     speed-capped: after a refusal the cautious retry is the whole point of
     the reflection loop.
     """
-    if task.kind is GoalKind.HOLD:
+    if task.goal.kind is GoalKind.HOLD:
         return [HighCommand(next_id(), HighKind.STOP, now)]
     goal = task.goal_point()
     if goal is None:
@@ -532,17 +518,13 @@ class DecisionAgent:
 
     def _advance_task(self, task: Task) -> None:
         pose = self.summary.pose
-        if task.kind is GoalKind.HOLD:
+        goal = task.goal_point()
+        if task.goal.kind is GoalKind.HOLD:
             task.state = TaskState.COMPLETED
-        elif task.kind is GoalKind.GOTO:
-            if math.hypot(task.x - pose.x, task.y - pose.y) <= GOAL_TOLERANCE:
-                task.state = TaskState.COMPLETED
-        elif task.kind is GoalKind.PATROL:
-            goal = task.goal_point()
-            if goal is not None and math.hypot(
-                    goal[0] - pose.x, goal[1] - pose.y) <= GOAL_TOLERANCE:
-                task.waypoint_idx += 1
-                if task.waypoint_idx >= len(task.waypoints):
-                    task.state = TaskState.COMPLETED  # single pass
+        elif goal is not None and math.hypot(
+                goal[0] - pose.x, goal[1] - pose.y) <= GOAL_TOLERANCE:
+            task.waypoint_idx += 1
+            if task.waypoint_idx >= len(task.goal.route):
+                task.state = TaskState.COMPLETED  # single pass
         if task.state is TaskState.COMPLETED:
             self.recorder.emit("DECISION", "task_completed", task.to_payload())

@@ -367,15 +367,10 @@ def convert(
         if abs(half) > robot.v_wheel_max:
             half = math.copysign(robot.v_wheel_max, half)
         return (LowKind.SET_WHEELS, -half, half), False, waypoint_idx
-    if kind is HighKind.MOVE_TO:
-        if math.hypot(cmd.x - pose.x, cmd.y - pose.y) <= params.eps_pos:
-            return None, True, waypoint_idx
-        v_cap = cmd.speed if cmd.speed is not None else robot.v_wheel_max
-        vl, vr = _steer(pose, cmd.x, cmd.y, v_cap, robot, params)
-        return (LowKind.SET_WHEELS, vl, vr), False, waypoint_idx
-    # FOLLOW_PATH: MOVE_TO each waypoint in order
-    while waypoint_idx < len(cmd.waypoints):
-        tx, ty = cmd.waypoints[waypoint_idx]
+    # MOVE_TO is a FOLLOW_PATH of one waypoint: steer to each in order
+    route = ((cmd.x, cmd.y),) if kind is HighKind.MOVE_TO else cmd.waypoints
+    while waypoint_idx < len(route):
+        tx, ty = route[waypoint_idx]
         if math.hypot(tx - pose.x, ty - pose.y) <= params.eps_pos:
             waypoint_idx += 1
             continue

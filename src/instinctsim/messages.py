@@ -1,8 +1,8 @@
-"""Command, feedback, and summary types exchanged between layers.
+"""Goal, command, feedback, and summary types exchanged between layers.
 
-These are the wire contract: the agent only ever sees ``HighCommand`` /
-``Feedback`` / ``ScanSummary``; devices only ever see ``LowCommand``. The
-instinct layer bridges the two vocabularies.
+These are the wire contract: the agent only ever sees ``Goal`` /
+``HighCommand`` / ``Feedback`` / ``ScanSummary``; devices only ever see
+``LowCommand``. The instinct layer bridges the two command vocabularies.
 """
 
 from __future__ import annotations
@@ -18,6 +18,31 @@ N_SECTORS = 8  # sectors of a ScanSummary; sector 0 is centered on the heading
 
 class MalformedCommandError(ValueError):
     """A command failed validation; the whole batch it came in is rejected."""
+
+
+class GoalKind(Enum):
+    GOTO = "GOTO"
+    PATROL = "PATROL"
+    HOLD = "HOLD"
+
+
+@dataclass(frozen=True)
+class Goal:
+    """What a task asks for: the points of ``route`` reached in order. A
+    GOTO's route is its one point, a PATROL's its waypoints, a HOLD's empty.
+    """
+
+    kind: GoalKind
+    route: tuple[tuple[float, float], ...] = ()
+
+    def to_payload(self) -> dict:
+        """The goal's JSON shape, in scenario files and in the trace."""
+        out: dict = {"kind": self.kind.value}
+        if self.kind is GoalKind.GOTO:
+            out["x"], out["y"] = self.route[0]
+        elif self.kind is GoalKind.PATROL:
+            out["waypoints"] = [list(p) for p in self.route]
+        return out
 
 
 class HighKind(Enum):

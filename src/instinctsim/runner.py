@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .agent import DecisionAgent, GoalKind, LlmBackend, Task
+from .agent import DecisionAgent, LlmBackend, Task
 from .bus import Channel
 from .config import derive_rng
 from .instinct import InstinctController
@@ -58,8 +58,7 @@ class Runtime:
         for spec in sc.tasks:
             if spec.issue_tick == now:
                 self.issued += 1
-                task = Task(self.issued, GoalKind(spec.kind), spec.x, spec.y,
-                            spec.waypoints)
+                task = Task(self.issued, spec.goal)
                 self.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
                 self.task_channel.transmit(task, now)
         state = self.device.step(sc.dt)

@@ -8,8 +8,9 @@ back to defaults.
 Each parameter section is read, defaulted and written from its dataclass:
 ``_fields`` reads every field by its annotated type and takes missing ones
 from the default instance, and ``Scenario.to_dict`` writes the same names
-back. Only the world and the tasks have JSON shapes of their own. Checks
-beyond a field's type live in ``_check``.
+back. Only the world and the tasks have JSON shapes of their own; a task's
+goal is written by ``Goal.to_payload`` and read back here, each kind with
+its own keys only. Checks beyond a field's type live in ``_check``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .config import (
     PHYSICS_DT,
     RobotParams,
 )
+from .messages import Goal, GoalKind
 from .world import Circle, Pose2D, Rect, WorldModel, clearance, random_world
 
 
@@ -38,10 +40,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class TaskSpec:
     issue_tick: int
-    kind: str                       # GOTO | PATROL | HOLD
-    x: float | None = None
-    y: float | None = None
-    waypoints: tuple[tuple[float, float], ...] = ()
+    goal: Goal
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,7 @@ def _rect_to_dict(rect: Rect) -> dict:
 
 
 def _task_to_dict(task: TaskSpec) -> dict:
-    out: dict = {"issue_tick": task.issue_tick, "goal": {"kind": task.kind}}
-    if task.kind == "GOTO":
-        out["goal"]["x"] = task.x
-        out["goal"]["y"] = task.y
-    elif task.kind == "PATROL":
-        out["goal"]["waypoints"] = [list(w) for w in task.waypoints]
-    return out
+    return {"issue_tick": task.issue_tick, "goal": task.goal.to_payload()}
 
 
 def _number(value, where: str) -> float:
@@ -206,36 +199,41 @@ def _parse_world(raw) -> WorldModel:
         raise ScenarioError(f"world: {exc}") from exc
 
 
+# The keys of each goal kind, as ``Goal.to_payload`` writes them.
+_GOAL_KEYS = {
+    GoalKind.GOTO: ("kind", "x", "y"),
+    GoalKind.PATROL: ("kind", "waypoints"),
+    GoalKind.HOLD: ("kind",),
+}
+
+
 def _parse_tasks(raw) -> tuple[TaskSpec, ...]:
     tasks = []
     for i, traw in enumerate(_list(raw, "tasks")):
         where = f"tasks[{i}]"
         traw = _shape(traw, where, {"issue_tick", "goal"}, ("goal",))
-        goal = _shape(traw["goal"], f"{where}.goal",
-                      {"kind", "x", "y", "waypoints"})
-        kind = goal.get("kind")
-        if kind not in ("GOTO", "PATROL", "HOLD"):
-            raise ScenarioError(f"{where}.goal.kind unknown: {kind!r}")
         issue = _integer(traw.get("issue_tick", 0), f"{where}.issue_tick")
         if issue < 0:
             raise ScenarioError(f"{where}.issue_tick must be >= 0")
-        if kind == "GOTO":
-            if "x" not in goal or "y" not in goal:
-                raise ScenarioError(f"{where}.goal requires x and y")
-            tasks.append(TaskSpec(issue, kind,
-                                  x=_number(goal["x"], f"{where}.goal.x"),
-                                  y=_number(goal["y"], f"{where}.goal.y")))
-        elif kind == "PATROL":
-            wps = _list(goal.get("waypoints", []), f"{where}.goal.waypoints")
-            if not wps:
-                raise ScenarioError(f"{where}.goal requires waypoints")
-            tasks.append(TaskSpec(
-                issue, kind,
-                waypoints=tuple(_pair(w, f"{where}.goal.waypoints[{j}]")
-                                for j, w in enumerate(wps)),
-            ))
-        else:
-            tasks.append(TaskSpec(issue, kind))
+        where += ".goal"
+        goal = _shape(traw["goal"], where, {"kind", "x", "y", "waypoints"})
+        try:
+            kind = GoalKind(goal.get("kind"))
+        except ValueError:
+            raise ScenarioError(
+                f"{where}.kind unknown: {goal.get('kind')!r}") from None
+        _shape(goal, where, _GOAL_KEYS[kind], _GOAL_KEYS[kind])
+        route = ()
+        if kind is GoalKind.GOTO:
+            route = ((_number(goal["x"], f"{where}.x"),
+                      _number(goal["y"], f"{where}.y")),)
+        elif kind is GoalKind.PATROL:
+            route = tuple(_pair(w, f"{where}.waypoints[{j}]") for j, w in
+                          enumerate(_list(goal["waypoints"],
+                                          f"{where}.waypoints")))
+            if not route:
+                raise ScenarioError(f"{where} requires waypoints")
+        tasks.append(TaskSpec(issue, Goal(kind, route)))
     return tuple(tasks)
 
 
@@ -345,5 +343,5 @@ def random_scenario(
         agent=AgentParams(backend=backend,
                           hallucination_probability=hallucination_probability,
                           kill_tick=kill_tick),
-        tasks=(TaskSpec(0, "GOTO", x=gx, y=gy),),
+        tasks=(TaskSpec(0, Goal(GoalKind.GOTO, ((gx, gy),))),),
     )

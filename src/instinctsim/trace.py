@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 # Instinct-tick phases for the ordering audit. Survival work (status check,
@@ -110,16 +110,7 @@ class RunMetrics:
     timing: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "min_ground_truth_clearance": self.min_ground_truth_clearance,
-            "collisions": self.collisions,
-            "refusals": self.refusals,
-            "hallucinated_commands": self.hallucinated_commands,
-            "tasks_completed": self.tasks_completed,
-            "tasks_blocked": self.tasks_blocked,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def replay_dict(self) -> dict:
         """The trace-recomputable portion (everything but timing)."""
@@ -172,33 +163,28 @@ def recompute_metrics(events: Iterable[TraceEvent]) -> RunMetrics:
     return acc.metrics
 
 
-def _is_command_event(event: TraceEvent, unsafe_tick: bool) -> bool:
-    if event.layer == "INSTINCT":
-        if event.kind in _COMMAND_KINDS:
-            return True
-        if event.kind == "feedback":
-            # SAFE_MODE feedback during an unsafe tick is part of entering
-            # safe mode; on a safe (holding) tick it answers a fresh command
-            # and counts as command handling.
-            if event.payload.get("status") == "SAFE_MODE":
-                return not unsafe_tick
-            return True
-        return False
-    if event.layer == "DEVICE" and event.kind in _EXEC_KINDS:
-        return event.payload.get("parent_id") != "SURVIVAL"
-    return False
+def _phase(event: TraceEvent, unsafe_tick: bool) -> str | None:
+    """``"survival"``, ``"command"`` or None for events outside both phases.
 
-
-def _is_survival_event(event: TraceEvent, unsafe_tick: bool) -> bool:
+    SAFE_MODE feedback during an unsafe tick is part of entering safe mode;
+    on a safe (holding) tick it answers a fresh command, like all other
+    feedback.
+    """
     if event.layer == "INSTINCT":
         if event.kind in _SURVIVAL_KINDS:
-            return True
+            return "survival"
+        if event.kind in _COMMAND_KINDS:
+            return "command"
         if event.kind == "feedback":
-            return event.payload.get("status") == "SAFE_MODE" and unsafe_tick
-        return False
+            if unsafe_tick and event.payload.get("status") == "SAFE_MODE":
+                return "survival"
+            return "command"
+        return None
     if event.layer == "DEVICE" and event.kind in _EXEC_KINDS:
-        return event.payload.get("parent_id") == "SURVIVAL"
-    return False
+        if event.payload.get("parent_id") == "SURVIVAL":
+            return "survival"
+        return "command"
+    return None
 
 
 class TraceAuditor:
@@ -222,7 +208,6 @@ class TraceAuditor:
         self._last_key: tuple[int, int] | None = None
         self._tick: int | None = None
         self._tick_unsafe = False
-        self._max_survival_seq = -1
         self._min_command_seq: int | None = None
         self._tick_approved: dict[int, bool] = {}
         self._refused_low_ids: set[int] = set()
@@ -237,21 +222,19 @@ class TraceAuditor:
         if event.tick != self._tick:
             self._tick = event.tick
             self._tick_unsafe = False
-            self._max_survival_seq = -1
             self._min_command_seq = None
             self._tick_approved = {}
 
         if event.layer == "INSTINCT" and event.kind == "status":
             self._tick_unsafe = not event.payload["safe"]
 
-        if _is_survival_event(event, self._tick_unsafe):
-            self._max_survival_seq = max(self._max_survival_seq, event.seq)
-            if self._min_command_seq is not None:
-                self.violations.append(
-                    f"tick {event.tick}: survival event seq {event.seq} after "
-                    f"command event seq {self._min_command_seq}"
-                )
-        elif _is_command_event(event, self._tick_unsafe):
+        phase = _phase(event, self._tick_unsafe)
+        if phase == "survival" and self._min_command_seq is not None:
+            self.violations.append(
+                f"tick {event.tick}: survival event seq {event.seq} after "
+                f"command event seq {self._min_command_seq}"
+            )
+        elif phase == "command":
             if self._min_command_seq is None:
                 self._min_command_seq = event.seq
             if self._tick_unsafe:

@@ -69,7 +69,7 @@ class Rect:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WorldModel:
     """Static obstacle map: solid circles and rects inside a bounding rect."""
 
@@ -81,8 +81,8 @@ class WorldModel:
     # _slabs: (2, 2, 1 + len(rects), 1), the lower corners (x0, y0) then the
     # upper corners (x1, y1) of the bounds (first) and every rect;
     # _circ: (3, len(circles), 1), the centers (cx, cy) then radius**2.
-    _slabs: np.ndarray = field(init=False, repr=False)
-    _circ: np.ndarray = field(init=False, repr=False)
+    _slabs: np.ndarray = field(init=False, repr=False, compare=False)
+    _circ: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b = self.bounds
@@ -115,18 +115,6 @@ class WorldModel:
         circ.flags.writeable = False
         object.__setattr__(self, "_slabs", slabs)
         object.__setattr__(self, "_circ", circ)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WorldModel):
-            return NotImplemented
-        return (
-            self.bounds == other.bounds
-            and self.circles == other.circles
-            and self.rects == other.rects
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bounds, self.circles, self.rects))
 
 
 def random_world(rng: random.Random,

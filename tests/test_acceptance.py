@@ -15,6 +15,7 @@ import pytest
 
 from instinctsim.config import InstinctParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import safety_check
+from instinctsim.messages import Goal, GoalKind
 from instinctsim.oracle import agreement_report, gen_scenario, oracle_safety
 from instinctsim.runner import run_sim
 from instinctsim.scenario import Scenario, TaskSpec, random_scenario
@@ -101,7 +102,7 @@ def baseline_scenario():
         ticks=6000,
         world=WorldModel(bounds=Rect(-4.0, -4.0, 4.0, 4.0)),
         start=Pose2D(0.0, 0.0, 0.0),
-        tasks=(TaskSpec(0, "GOTO", x=3.0, y=2.0),),
+        tasks=(TaskSpec(0, Goal(GoalKind.GOTO, ((3.0, 2.0),))),),
     )
 
 

@@ -15,7 +15,6 @@ from instinctsim.agent import (
     BLOCKED_EXPIRY_TICKS,
     DETOUR_DISTANCE,
     DecisionAgent,
-    GoalKind,
     LlmBackend,
     ReflectionNote,
     Task,
@@ -30,6 +29,8 @@ from instinctsim.config import AgentParams, RobotParams
 from instinctsim.messages import (
     Feedback,
     FeedbackStatus,
+    Goal,
+    GoalKind,
     HighCommand,
     HighKind,
     MalformedCommandError,
@@ -101,7 +102,7 @@ class TestSelfReflection:
 
     def test_third_refusal_marks_blocked(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=0.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 0.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         for i in range(3):
             now = i * 50
@@ -135,7 +136,7 @@ class TestPlanRule:
         return lambda: next(ids)
 
     def test_direct_path(self):
-        task = Task(1, GoalKind.GOTO, x=3.0, y=2.0)
+        task = Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),)))
         cmds = plan_rule(task, ReflectionNote(), make_summary(),
                          self.next_id(), now=0)
         assert len(cmds) == 1
@@ -143,7 +144,8 @@ class TestPlanRule:
         assert (cmds[0].x, cmds[0].y) == (3.0, 2.0)
 
     def test_detour_when_goal_sector_blocked(self):
-        task = Task(1, GoalKind.GOTO, x=3.0, y=0.0)  # goal dead ahead: sector 0
+        # goal dead ahead: sector 0
+        task = Task(1, Goal(GoalKind.GOTO, ((3.0, 0.0),)))
         notes = ReflectionNote(blocked_bearings={0: 10_000})
         cmds = plan_rule(task, notes, make_summary(),
                          self.next_id(), now=0)
@@ -156,21 +158,21 @@ class TestPlanRule:
         assert abs(bearing) == pytest.approx(math.pi / 4.0)
 
     def test_all_sectors_blocked_plans_nothing(self):
-        task = Task(1, GoalKind.GOTO, x=3.0, y=0.0)
+        task = Task(1, Goal(GoalKind.GOTO, ((3.0, 0.0),)))
         notes = ReflectionNote(
             blocked_bearings={k: 10_000 for k in range(8)})
         assert plan_rule(task, notes, make_summary(),
                          self.next_id(), now=0) == []
 
     def test_patrol_heads_for_current_waypoint(self):
-        task = Task(1, GoalKind.PATROL, waypoints=((1.0, 0.0), (0.0, 1.0)),
+        task = Task(1, Goal(GoalKind.PATROL, ((1.0, 0.0), (0.0, 1.0))),
                     waypoint_idx=1)
         cmds = plan_rule(task, ReflectionNote(), make_summary(),
                          self.next_id(), now=0)
         assert (cmds[0].x, cmds[0].y) == (0.0, 1.0)
 
     def test_hold_stops(self):
-        cmds = plan_rule(Task(1, GoalKind.HOLD), ReflectionNote(),
+        cmds = plan_rule(Task(1, Goal(GoalKind.HOLD)), ReflectionNote(),
                          make_summary(), self.next_id(), now=0)
         assert cmds[0].kind is HighKind.STOP
 
@@ -329,7 +331,8 @@ class TestLlmBackend:
 
         backend = LlmBackend(model="m", url="http://example/llm",
                              api_key="k", post=fake_post)
-        text = backend.complete(0.5, Task(1, GoalKind.HOLD), make_summary())
+        text = backend.complete(0.5, Task(1, Goal(GoalKind.HOLD)),
+                                make_summary())
         assert "STOP" in text
         assert len(calls) == 2  # one retry
         assert calls[0][1] == 10.0
@@ -342,13 +345,14 @@ class TestLlmBackend:
     def test_unconfigured_url_raises(self):
         backend = LlmBackend(url="", post=lambda *a, **k: None)
         with pytest.raises(RuntimeError):
-            backend.complete(0.5, Task(1, GoalKind.HOLD), make_summary())
+            backend.complete(0.5, Task(1, Goal(GoalKind.HOLD)),
+                             make_summary())
 
 
 class TestAgentTick:
     def test_fresh_goto_sends_exactly_one_move(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=2.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         stack.agent.tick(0)
         sent = stack.command.poll(0)
@@ -358,13 +362,13 @@ class TestAgentTick:
 
     def test_no_summary_means_no_commands(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=2.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),))), 0)
         stack.agent.tick(0)
         assert stack.command.poll(0) == []
 
     def test_single_in_flight(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=2.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         stack.agent.tick(0)
         assert len(stack.command.poll(0)) == 1
@@ -375,7 +379,7 @@ class TestAgentTick:
 
     def test_completion_rule_within_tolerance(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=2.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         stack.agent.tick(0)
         cmd = stack.command.poll(0)[0]
@@ -389,7 +393,7 @@ class TestAgentTick:
 
     def test_completion_far_from_goal_replans(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.GOTO, x=3.0, y=2.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.GOTO, ((3.0, 2.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         stack.agent.tick(0)
         cmd = stack.command.poll(0)[0]
@@ -413,15 +417,16 @@ class TestAgentTick:
             model=model, url="http://example/llm",
             post=lambda *args, **kwargs: NullContent()))
         sc = Scenario(ticks=200, agent=AgentParams(backend="llm"),
-                      tasks=(TaskSpec(0, "GOTO", x=1.0, y=1.0),))
+                      tasks=(TaskSpec(0, Goal(GoalKind.GOTO,
+                                              ((1.0, 1.0),))),))
         kinds = [e.kind for e in runner.run_sim(sc)[0]]
         assert "plan_rejected" in kinds
         assert "agent_crashed" not in kinds
 
     def test_tasks_processed_fifo(self):
         stack = make_agent()
-        stack.task.transmit(Task(1, GoalKind.HOLD), 0)
-        stack.task.transmit(Task(2, GoalKind.GOTO, x=1.0, y=0.0), 0)
+        stack.task.transmit(Task(1, Goal(GoalKind.HOLD)), 0)
+        stack.task.transmit(Task(2, Goal(GoalKind.GOTO, ((1.0, 0.0),))), 0)
         stack.data.transmit(make_summary(), 0)
         stack.agent.tick(0)
         sent = stack.command.poll(0)

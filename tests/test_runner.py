@@ -11,6 +11,7 @@ import pytest
 from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
 from instinctsim.config import AgentParams, InstinctParams
+from instinctsim.messages import Goal, GoalKind
 from instinctsim.runner import run_live, run_sim
 from instinctsim.scenario import (
     Scenario,
@@ -42,7 +43,7 @@ def small_scenario(seed=0, ticks=600, backend="rule", probability=0.0):
         start=Pose2D(0, 0, 0),
         agent=AgentParams(backend=backend,
                           hallucination_probability=probability),
-        tasks=(TaskSpec(0, "GOTO", x=3.0, y=-2.0),),
+        tasks=(TaskSpec(0, Goal(GoalKind.GOTO, ((3.0, -2.0),))),),
     )
 
 
@@ -105,6 +106,29 @@ class TestDeterminism:
             write_trace(run_sim(sc)[0], str(path))
             assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, name
 
+    def test_pinned_scenario_bytes(self, tmp_path):
+        """The ``save_scenario`` bytes of the demo and of 120 generated
+        scenarios, pinned by one sha256 over all of them in order.
+
+        A change to how scenarios are read, held or written must leave the
+        file format alone. Like the trace pins, this one is platform-specific:
+        the generated worlds carry floats from libm. A change that means to
+        alter the format updates the pin and names it in CHANGES.md.
+        """
+        scenarios = [load_scenario(str(DEMO_SCENARIO))]
+        for seed in range(30):
+            for roaming in (False, True):
+                for kill_tick in (None, 500):
+                    scenarios.append(random_scenario(
+                        seed, roaming=roaming, kill_tick=kill_tick))
+        digest = hashlib.sha256()
+        path = tmp_path / "scenario.json"
+        for sc in scenarios:
+            save_scenario(sc, str(path))
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == ("f564575be350fc3292a7b7fd4711a8e3"
+                                      "c6a184ee5c20696f635f9dc75705872e")
+
     def test_trace_strictly_ordered(self):
         trace, _ = run_sim(small_scenario())
         keys = [(e.tick, e.seq) for e in trace]
@@ -138,8 +162,9 @@ class TestAgentDropout:
 
         monkeypatch.setattr(agent_module, "plan_rule", failing_plan_rule)
         sc = replace(small_scenario(ticks=400),
-                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(0, "HOLD"),
-                            TaskSpec(0, "GOTO", x=3.0, y=-2.0)))
+                     tasks=(TaskSpec(0, Goal(GoalKind.HOLD)),
+                            TaskSpec(0, Goal(GoalKind.HOLD)),
+                            TaskSpec(0, Goal(GoalKind.GOTO, ((3.0, -2.0),)))))
         auditor = TraceAuditor()
         trace, metrics = run_sim(sc, sinks=[auditor])
         assert [e.tick for e in trace
@@ -195,7 +220,8 @@ class TestRunLevelInvariants:
         # the first task is done when the second is issued at tick 130, off
         # the 50-tick agent period: the run waits for the agent to take it
         sc = replace(small_scenario(ticks=600),
-                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(130, "HOLD")))
+                     tasks=(TaskSpec(0, Goal(GoalKind.HOLD)),
+                            TaskSpec(130, Goal(GoalKind.HOLD))))
         _, metrics = run_sim(sc)
         assert metrics.tasks_completed == 2
 
@@ -230,7 +256,7 @@ class TestBaselineTask:
         sc = Scenario(
             name="baseline",
             world=WorldModel(bounds=Rect(-4, -4, 4, 4)),
-            tasks=(TaskSpec(0, "GOTO", x=3.0, y=2.0),),
+            tasks=(TaskSpec(0, Goal(GoalKind.GOTO, ((3.0, 2.0),))),),
         )
         trace, metrics = run_sim(sc)
         assert metrics.tasks_completed == 1
@@ -311,7 +337,8 @@ class TestLiveMode:
     def test_live_run_issues_every_task(self):
         # the second task is issued after the first one completes
         sc = replace(small_scenario(ticks=300),
-                     tasks=(TaskSpec(0, "HOLD"), TaskSpec(150, "HOLD")))
+                     tasks=(TaskSpec(0, Goal(GoalKind.HOLD)),
+                            TaskSpec(150, Goal(GoalKind.HOLD))))
         trace, metrics = run_live(sc)
         assert [e.kind for e in trace].count("task_issued") == 2
         assert metrics.tasks_completed == 2

@@ -144,6 +144,16 @@ WRONG_TYPE = [
 ]
 
 
+# a key that belongs to another goal kind: (key path, goal, key it names)
+CROSS_KIND = [
+    (("tasks", 0, "goal"), {"kind": "HOLD", "x": 1.0}, "tasks[0].goal.'x'"),
+    (("tasks", 0, "goal"), {"kind": "GOTO", "x": 1, "y": 2,
+                            "waypoints": [[0, 0]]},
+     "tasks[0].goal.'waypoints'"),
+    (("tasks", 0, "goal"), dict(PATROL, x="junk"), "tasks[0].goal.'x'"),
+]
+
+
 def ids(cases):
     return [where for _, _, where in cases]
 
@@ -167,6 +177,13 @@ class TestMalformed:
                              ids=ids(WRONG_TYPE))
     def test_wrong_scalar_type_rejected(self, path, value, where):
         with pytest.raises(ScenarioError, match=re.escape(f"{where} must be")):
+            parse_scenario(with_change(path, value))
+
+    @pytest.mark.parametrize("path, value, where", CROSS_KIND,
+                             ids=["HOLD.x", "GOTO.waypoints", "PATROL.x"])
+    def test_key_of_another_goal_kind_rejected(self, path, value, where):
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"unknown field {where}")):
             parse_scenario(with_change(path, value))
 
     @pytest.mark.parametrize("path, value, where",
@@ -287,7 +304,7 @@ class TestRandomScenario:
             assert 3 <= n <= 8
             assert clearance(sc.world, sc.start.x, sc.start.y) >= 0.5
             task = sc.tasks[0]
-            assert clearance(sc.world, task.x, task.y) >= 0.5
+            assert clearance(sc.world, *task.goal.route[0]) >= 0.5
 
     def test_round_trips_through_json(self, tmp_path):
         sc = random_scenario(11)
