@@ -1,11 +1,16 @@
 """Independent brute-force validation of the predictive safety check.
 
 The oracle re-implements the "held command then maximal braking" semantics
-with its own integration loop at a much finer step, deliberately sharing no
-code with the checker's trajectory prediction. Generated cases pit the two
+with its own integration at a much finer step, deliberately sharing no code
+with the checker's trajectory prediction. Generated cases pit the two
 against each other; disagreements are only tolerated in the conservative
 direction (checker refuses, oracle approves) and inside a small clearance
 band around the decision threshold where integration resolution dominates.
+
+The integration is array code: the step times, wheel speeds, heading and
+position are each one ``np.cumsum``, which adds in the same order as a loop
+that steps one ``dt_fine`` at a time. It gives the same bits as that scalar
+loop, which ``tests/test_oracle.py`` keeps as the frozen reference.
 """
 
 from __future__ import annotations
@@ -89,6 +94,102 @@ def gen_scenario(
                         command=command, belief=belief)
 
 
+def _times(start: float, end: float, dt: float) -> np.ndarray:
+    """``start``, ``start + dt``, ``start + dt + dt``, ... added one step at a
+    time (``np.cumsum`` accumulates in order, like a loop's ``t += dt``),
+    long enough that the last value is at or past ``end``."""
+    n = int((end - start) / dt) + 3
+    while True:
+        steps = np.full(n, dt)
+        steps[0] = start
+        times = np.cumsum(steps)
+        if times[-1] >= end:
+            return times
+        n *= 2
+
+
+def _braked(v0: float, dv: np.ndarray) -> np.ndarray:
+    """A wheel's speed at the start of each braking step: ``v0``, then
+    lowered by each ``dv`` towards zero and held there."""
+    if v0 > 0:
+        return np.maximum(np.cumsum(np.concatenate(([v0], -dv[:-1]))), 0.0)
+    if v0 < 0:
+        return np.minimum(np.cumsum(np.concatenate(([v0], dv[:-1]))), 0.0)
+    return np.full(dv.shape[0], v0)
+
+
+def _fine_path(
+    start: Pose2D,
+    v_left: float,
+    v_right: float,
+    hold_s: float,
+    dt_fine: float,
+    robot: RobotParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample positions (x, y), the start included, of the held command and
+    the braking that follows, one per fine step up to the horizon.
+
+    The step that crosses ``hold_s`` is clipped to land on it; each braking
+    step is ``min(dt_fine, horizon - t)``; a wheel's speed drops by
+    ``a_max * step`` after each braking step and stops at zero. Every step
+    moves on an arc of the step's start speeds, or straight when the turn
+    rate is below 1e-9 rad/s.
+    """
+    brake_s = max(abs(v_left), abs(v_right)) / robot.a_max
+    horizon = hold_s + brake_s + 0.1
+    t_end = horizon - 1e-12
+    hold_t = _times(0.0, hold_s, dt_fine)
+    m = int(np.searchsorted(hold_t, hold_s))  # first time at or past hold_s
+    hold_steps = np.full(m, dt_fine)
+    clipped = m > 0 and hold_t[m] > hold_s
+    if clipped:
+        hold_steps[-1] = hold_s - hold_t[m - 1]
+    brake_t = _times(hold_s if clipped else float(hold_t[m]), t_end, dt_fine)
+    n = int(np.searchsorted(brake_t, t_end))  # first time at or past t_end
+    brake_steps = np.minimum(dt_fine, horizon - brake_t[:n])
+    dv = robot.a_max * brake_steps
+    steps = np.concatenate((hold_steps, brake_steps))
+    vl = np.concatenate((np.full(m, v_left), _braked(v_left, dv)))
+    vr = np.concatenate((np.full(m, v_right), _braked(v_right, dv)))
+    v = 0.5 * (vl + vr)
+    omega = (vr - vl) / robot.axle
+    arc = np.abs(omega) > 1e-9
+    # a straight step leaves the heading alone; adding -0.0 is exact for
+    # every float, +0.0 would turn a heading of -0.0 into 0.0
+    th = np.cumsum(np.concatenate(([start.theta],
+                                   np.where(arc, omega * steps, -0.0))))
+    sin, cos = np.sin(th), np.cos(th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = v / omega  # inf or nan where omega is ~0; np.where drops those
+        dx = np.where(arc, r * (sin[1:] - sin[:-1]), v * cos[:-1] * steps)
+        dy = np.where(arc, -(r * (cos[1:] - cos[:-1])), v * sin[:-1] * steps)
+    px = np.cumsum(np.concatenate(([start.x], dx)))
+    py = np.cumsum(np.concatenate(([start.y], dy)))
+    return px, py
+
+
+def _obstacle_min(px: np.ndarray, py: np.ndarray, points: np.ndarray) -> float:
+    """Least ``hypot`` from any sample to any belief point.
+
+    The squared distances pick the candidates and ``hypot`` is taken only on
+    pairs within a relative 1e-9 of the least square. That gives the same
+    float as ``hypot`` over all pairs: a squared distance carries a relative
+    rounding error of a few 1e-16 and ``hypot`` one ulp, so a pair whose
+    ``hypot`` ties or beats the least square's pair has a square within
+    ~1e-15 of the least, far inside 1e-9. The 1e-300 floor keeps this true
+    where squares underflow (distances below 1e-150 m).
+    """
+    d2 = points[:, :1] - px  # point-major: (points, samples)
+    d2 *= d2
+    dy2 = points[:, 1:] - py
+    dy2 *= dy2
+    d2 += dy2
+    del dy2
+    cut = max(float(d2.min()) * (1.0 + 1e-9), 1e-300)
+    i, j = np.nonzero(d2 <= cut)
+    return float(np.min(np.hypot(px[j] - points[i, 0], py[j] - points[i, 1])))
+
+
 def oracle_safety(
     case: ScenarioCase,
     dt_fine: float = 0.002,
@@ -100,62 +201,31 @@ def oracle_safety(
 
     Same horizon semantics as the production check (command held for its
     duration, then both wheels braked at a_max, plus a 0.1 s margin) but
-    integrated with an independent loop at dt_fine.
+    integrated independently at dt_fine.
+
+    Raises ValueError on a non-finite wheel speed, whose braking horizon has
+    no end, and on a ``dt_fine`` that is not positive.
     """
     low = case.command
     if low.kind is not LowKind.SET_WHEELS:
         return SafetyVerdict(True, math.inf, VerdictReason.OK)
-    hold_s = low.duration_ticks * physics_dt
-    brake_s = max(abs(low.v_left), abs(low.v_right)) / robot.a_max
-    horizon = hold_s + brake_s + 0.1
-    x, y, th = case.start.x, case.start.y, case.start.theta
-    vl, vr = low.v_left, low.v_right
-    xs = [x]
-    ys = [y]
-    t = 0.0
-    while t < horizon - 1e-12:
-        step = min(dt_fine, horizon - t)
-        clipped = t < hold_s < t + step
-        if clipped:
-            step = hold_s - t
-        braking = t >= hold_s
-        v = 0.5 * (vl + vr)
-        omega = (vr - vl) / robot.axle
-        if abs(omega) > 1e-9:
-            th_next = th + omega * step
-            r = v / omega
-            x += r * (math.sin(th_next) - math.sin(th))
-            y -= r * (math.cos(th_next) - math.cos(th))
-            th = th_next
-        else:
-            x += v * math.cos(th) * step
-            y += v * math.sin(th) * step
-        xs.append(x)
-        ys.append(y)
-        if braking:
-            dv = robot.a_max * step
-            if vl > 0:
-                vl = max(0.0, vl - dv)
-            elif vl < 0:
-                vl = min(0.0, vl + dv)
-            if vr > 0:
-                vr = max(0.0, vr - dv)
-            elif vr < 0:
-                vr = min(0.0, vr + dv)
-        t = hold_s if clipped else t + step
-    px = np.array(xs)
-    py = np.array(ys)
+    if not (math.isfinite(low.v_left) and math.isfinite(low.v_right)):
+        raise ValueError(
+            f"non-finite wheel speed: ({low.v_left}, {low.v_right})")
+    if not dt_fine > 0:
+        raise ValueError(f"dt_fine must be positive, got {dt_fine}")
+    px, py = _fine_path(case.start, low.v_left, low.v_right,
+                        low.duration_ticks * physics_dt, dt_fine, robot)
     points = case.belief.points
     if points.shape[0]:
-        dx = px[:, None] - points[None, :, 0]
-        dy = py[:, None] - points[None, :, 1]
-        obstacle_min = float(np.min(np.hypot(dx, dy))) - robot.radius
+        obstacle_min = _obstacle_min(px, py, points) - robot.radius
     else:
         obstacle_min = math.inf
     b = case.world.bounds
-    inner = np.minimum(np.minimum(px - b.x0, b.x1 - px),
-                       np.minimum(py - b.y0, b.y1 - py))
-    bounds_min = float(inner.min()) - robot.radius
+    # subtraction is monotone, so the extremes give the per-sample minimum
+    inner = min(float(px.min()) - b.x0, b.x1 - float(px.max()),
+                float(py.min()) - b.y0, b.y1 - float(py.max()))
+    bounds_min = inner - robot.radius
     predicted = min(obstacle_min, bounds_min)
     if predicted >= params.d_min:
         return SafetyVerdict(True, predicted, VerdictReason.OK)

@@ -1,9 +1,14 @@
-"""Oracle-harness tests: case generation, fine-dt verdicts, agreement math."""
+"""Oracle-harness tests: case generation, fine-dt verdicts, agreement math,
+and the array oracle against the scalar loop it replaced."""
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instinctsim.config import InstinctParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import ObstacleBelief, safety_check
@@ -11,6 +16,7 @@ from instinctsim.messages import LowCommand, LowKind, SafetyVerdict, VerdictReas
 from instinctsim.oracle import (
     AgreementReport,
     ScenarioCase,
+    _fine_path,
     agreement_report,
     gen_scenario,
     oracle_safety,
@@ -19,6 +25,80 @@ from instinctsim.world import Pose2D, Rect, WorldModel, clearance
 
 ROBOT = RobotParams()
 PARAMS = InstinctParams()
+
+
+# -- frozen reference ----------------------------------------------------------
+
+def reference_fine_path(start, v_left, v_right, hold_s, dt_fine, robot):
+    """The oracle's integration as first written: one scalar loop step by
+    step, ``math.sin``/``math.cos`` and a list of samples."""
+    brake_s = max(abs(v_left), abs(v_right)) / robot.a_max
+    horizon = hold_s + brake_s + 0.1
+    x, y, th = start.x, start.y, start.theta
+    vl, vr = v_left, v_right
+    xs = [x]
+    ys = [y]
+    t = 0.0
+    while t < horizon - 1e-12:
+        step = min(dt_fine, horizon - t)
+        clipped = t < hold_s < t + step
+        if clipped:
+            step = hold_s - t
+        braking = t >= hold_s
+        v = 0.5 * (vl + vr)
+        omega = (vr - vl) / robot.axle
+        if abs(omega) > 1e-9:
+            th_next = th + omega * step
+            r = v / omega
+            x += r * (math.sin(th_next) - math.sin(th))
+            y -= r * (math.cos(th_next) - math.cos(th))
+            th = th_next
+        else:
+            x += v * math.cos(th) * step
+            y += v * math.sin(th) * step
+        xs.append(x)
+        ys.append(y)
+        if braking:
+            dv = robot.a_max * step
+            if vl > 0:
+                vl = max(0.0, vl - dv)
+            elif vl < 0:
+                vl = min(0.0, vl + dv)
+            if vr > 0:
+                vr = max(0.0, vr - dv)
+            elif vr < 0:
+                vr = min(0.0, vr + dv)
+        t = hold_s if clipped else t + step
+    return np.array(xs), np.array(ys)
+
+
+def reference_oracle_safety(case, dt_fine=0.002, robot=ROBOT, params=PARAMS,
+                            physics_dt=PHYSICS_DT):
+    """The reference loop's samples, ``hypot`` over every (sample, point)
+    pair and the per-sample bounds margins."""
+    low = case.command
+    if low.kind is not LowKind.SET_WHEELS:
+        return SafetyVerdict(True, math.inf, VerdictReason.OK)
+    hold_s = low.duration_ticks * physics_dt
+    px, py = reference_fine_path(case.start, low.v_left, low.v_right, hold_s,
+                                 dt_fine, robot)
+    points = case.belief.points
+    if points.shape[0]:
+        dx = px[:, None] - points[None, :, 0]
+        dy = py[:, None] - points[None, :, 1]
+        obstacle_min = float(np.min(np.hypot(dx, dy))) - robot.radius
+    else:
+        obstacle_min = math.inf
+    b = case.world.bounds
+    inner = np.minimum(np.minimum(px - b.x0, b.x1 - px),
+                       np.minimum(py - b.y0, b.y1 - py))
+    bounds_min = float(inner.min()) - robot.radius
+    predicted = min(obstacle_min, bounds_min)
+    if predicted >= params.d_min:
+        return SafetyVerdict(True, predicted, VerdictReason.OK)
+    reason = (VerdictReason.OBSTACLE_PREDICTED if obstacle_min <= bounds_min
+              else VerdictReason.OUT_OF_BOUNDS)
+    return SafetyVerdict(False, predicted, reason)
 
 
 class TestGenScenario:
@@ -86,6 +166,123 @@ class TestOracleSafety:
                 flips += 1
         assert checked > 80
         assert flips == 0
+
+    @pytest.mark.parametrize("v_left, v_right", [
+        (math.nan, 0.3), (math.nan, math.nan), (0.3, math.nan),
+        (math.inf, 0.3), (-math.inf, 0.3), (math.inf, math.inf),
+    ])
+    def test_non_finite_wheel_speed_raises(self, v_left, v_right):
+        # a NaN speed used to be approved or refused with a NaN clearance,
+        # an infinite one ended in a math domain error or never returned
+        case = gen_scenario(3)
+        case = replace(case, command=LowCommand(1, None, LowKind.SET_WHEELS,
+                                                v_left, v_right, 10))
+        with pytest.raises(ValueError, match="non-finite wheel speed"):
+            oracle_safety(case)
+
+    @pytest.mark.parametrize("dt_fine", [0.0, -0.002, math.nan])
+    def test_non_positive_step_raises(self, dt_fine):
+        case = replace(gen_scenario(3), command=LowCommand(
+            1, None, LowKind.SET_WHEELS, 0.3, 0.3, 10))
+        with pytest.raises(ValueError, match="dt_fine"):
+            oracle_safety(case, dt_fine=dt_fine)
+
+
+# -- array oracle against the reference loop -----------------------------------
+
+_DT_FINE = st.one_of(st.sampled_from([0.001, 0.002]),
+                     st.floats(0.0005, 0.05))
+_WHEEL = st.floats(-ROBOT.v_wheel_max, ROBOT.v_wheel_max)
+
+
+@st.composite
+def wheel_pairs(draw):
+    """Zero, equal, opposite, near-equal (|omega| on either side of the
+    1e-9 arc threshold) and unrelated wheel speeds."""
+    kind = draw(st.sampled_from(["any", "zero", "equal", "opposite",
+                                 "near_equal"]))
+    if kind == "zero":
+        return 0.0, 0.0
+    vl = draw(_WHEEL)
+    if kind == "equal":
+        return vl, vl
+    if kind == "opposite":
+        return vl, -vl
+    if kind == "near_equal":
+        scale = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.0))
+        return vl, vl + scale * 1e-9 * ROBOT.axle
+    return vl, draw(_WHEEL)
+
+
+def landing_hold(steps, dt_fine):
+    """The time the reference loop reaches after ``steps`` unclipped steps,
+    so a hold of it lands exactly and is not clipped."""
+    t = 0.0
+    for _ in range(steps):
+        t += dt_fine
+    return t
+
+
+class TestArrayOracleMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=st.floats(-4, 4), y=st.floats(-4, 4),
+        theta=st.floats(-100, 100),
+        wheels=wheel_pairs(),
+        dt_fine=_DT_FINE,
+        hold=st.tuples(st.sampled_from(["ticks", "landing", "product"]),
+                       st.integers(1, 200)),
+    )
+    def test_samples_match(self, x, y, theta, wheels, dt_fine, hold):
+        # "landing" holds are the loop's own sum of dt_fine, which ends the
+        # hold without a clipped step; "product" holds are k * dt_fine,
+        # which lands within rounding of that sum, on either side
+        kind, count = hold
+        hold_s = {"ticks": count * PHYSICS_DT,
+                  "landing": landing_hold(count, dt_fine),
+                  "product": count * dt_fine}[kind]
+        args = (Pose2D(x, y, theta), *wheels, hold_s, dt_fine, ROBOT)
+        got = _fine_path(*args)
+        want = reference_fine_path(*args)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wheels=wheel_pairs(),
+        dt_fine=_DT_FINE,
+        ticks=st.integers(1, 200),
+        per_step=st.booleans(),
+        on_path=st.integers(0, 3),
+    )
+    def test_verdicts_match(self, seed, wheels, dt_fine, ticks, per_step,
+                            on_path):
+        # per_step sets physics_dt = dt_fine, so the hold is ticks * dt_fine;
+        # on_path copies samples of the path into the belief, so the least
+        # distance is exactly 0 and ties between pairs are common
+        case = gen_scenario(seed)
+        command = LowCommand(1, None, LowKind.SET_WHEELS, *wheels, ticks)
+        physics_dt = dt_fine if per_step else PHYSICS_DT
+        points = case.belief.points
+        if on_path:
+            px, py = reference_fine_path(case.start, *wheels,
+                                         ticks * physics_dt, dt_fine, ROBOT)
+            pick = random.Random(seed).sample(range(px.shape[0]),
+                                              min(on_path, px.shape[0]))
+            points = np.vstack((points, np.column_stack((px, py))[pick]))
+        case = replace(case, command=command,
+                       belief=ObstacleBelief(points=points, built_tick=0))
+        got = oracle_safety(case, dt_fine, physics_dt=physics_dt)
+        want = reference_oracle_safety(case, dt_fine, physics_dt=physics_dt)
+        assert got == want
+
+    def test_generated_cases_match(self):
+        for seed in range(300):
+            case = gen_scenario(seed)
+            assert oracle_safety(case) == reference_oracle_safety(case), \
+                f"seed {seed}"
 
 
 class TestAgreementReport:

@@ -12,6 +12,7 @@ from instinctsim import agent as agent_module
 from instinctsim.cli import main as cli_main
 from instinctsim.config import AgentParams, InstinctParams
 from instinctsim.messages import Goal, GoalKind
+from instinctsim.oracle import gen_scenario, oracle_safety
 from instinctsim.runner import run_live, run_sim
 from instinctsim.scenario import (
     Scenario,
@@ -105,6 +106,25 @@ class TestDeterminism:
             path = tmp_path / f"{name}.jsonl"
             write_trace(run_sim(sc)[0], str(path))
             assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, name
+
+    def test_pinned_oracle_digest(self):
+        """The oracle's verdicts on generated cases, pinned by one sha256
+        over ``(safe, repr(clearance), reason)`` of each: seeds 0-1999 at
+        the default ``dt_fine`` and seeds 0-199 at 0.001 s.
+
+        A change to how the oracle integrates or measures must leave these
+        bits alone. Like the trace pins, this one is platform-specific: the
+        path carries sin and cos, which another libm or NumPy build may round
+        differently.
+        """
+        digest = hashlib.sha256()
+        for dt_fine, seeds in ((0.002, 2000), (0.001, 200)):
+            for seed in range(seeds):
+                v = oracle_safety(gen_scenario(seed), dt_fine=dt_fine)
+                digest.update(f"{v.safe}|{v.predicted_min_clearance!r}|"
+                              f"{v.reason.value}\n".encode())
+        assert digest.hexdigest() == ("939afd733601c4d517172310b23b337a"
+                                      "081ce5eacc4add6b32bf1fd9cc369624")
 
     def test_pinned_scenario_bytes(self, tmp_path):
         """The ``save_scenario`` bytes of the demo and of 120 generated
