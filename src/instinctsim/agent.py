@@ -43,6 +43,7 @@ DETOUR_DISTANCE = 1.0      # m
 DETOUR_FIT_MARGIN = 0.3    # extra range a sector needs beyond the waypoint
 DETOUR_SPEED = 0.15        # cautious cap for post-refusal detours, m/s
 GOAL_TOLERANCE = 0.1       # task-level completion distance, m
+SILENCE_TICKS = 100        # no feedback this long past latencies: command lost
 
 
 class TaskState(Enum):
@@ -107,25 +108,16 @@ def self_reflection(
         elif fb.status is FeedbackStatus.REFUSED:
             notes.consecutive_failures += 1
             cmd = sent_commands.get(fb.command_id)
-            if fb.reason == "OBSTACLE_PREDICTED" and cmd is not None:
-                target = _command_target(cmd)
-                if target is not None:
-                    bearing = wrap_angle(
-                        math.atan2(target[1] - summary.pose.y,
-                                   target[0] - summary.pose.x)
-                        - summary.pose.theta
-                    )
-                    sector = sector_index(bearing)
-                    notes.blocked_bearings[sector] = now + BLOCKED_EXPIRY_TICKS
+            if (fb.reason == "OBSTACLE_PREDICTED" and cmd is not None
+                    and cmd.route):
+                tx, ty = cmd.route[0]
+                bearing = wrap_angle(
+                    math.atan2(ty - summary.pose.y, tx - summary.pose.x)
+                    - summary.pose.theta
+                )
+                sector = sector_index(bearing)
+                notes.blocked_bearings[sector] = now + BLOCKED_EXPIRY_TICKS
     return notes
-
-
-def _command_target(cmd: HighCommand) -> tuple[float, float] | None:
-    if cmd.kind is HighKind.MOVE_TO:
-        return (cmd.x, cmd.y)
-    if cmd.kind is HighKind.FOLLOW_PATH and cmd.waypoints:
-        return cmd.waypoints[0]
-    return None
 
 
 def plan_rule(
@@ -154,8 +146,7 @@ def plan_rule(
                          - pose.theta)
     desired = sector_index(bearing)
     if desired not in notes.blocked_bearings:
-        return [HighCommand(next_id(), HighKind.MOVE_TO, now,
-                            x=goal[0], y=goal[1])]
+        return [HighCommand(next_id(), HighKind.MOVE_TO, now, (goal,))]
     # detour: nearest fitting unblocked sector by angular distance, then index
     fit_range = DETOUR_DISTANCE + DETOUR_FIT_MARGIN
     candidates = sorted(
@@ -170,7 +161,7 @@ def plan_rule(
     direction = pose.theta + sector_angle(candidates[0])
     wx = pose.x + DETOUR_DISTANCE * math.cos(direction)
     wy = pose.y + DETOUR_DISTANCE * math.sin(direction)
-    return [HighCommand(next_id(), HighKind.MOVE_TO, now, x=wx, y=wy,
+    return [HighCommand(next_id(), HighKind.MOVE_TO, now, ((wx, wy),),
                         speed=DETOUR_SPEED)]
 
 
@@ -229,16 +220,24 @@ def _adversarial_command(
         reach = summary.sector_min[sector] + 0.5
         direction = summary.pose.theta + sector_angle(sector)
         return HighCommand(cmd.id, HighKind.MOVE_TO, now,
-                           x=summary.pose.x + reach * math.cos(direction),
-                           y=summary.pose.y + reach * math.sin(direction),
+                           ((summary.pose.x + reach * math.cos(direction),
+                             summary.pose.y + reach * math.sin(direction)),),
                            speed=speed)
     # far out of bounds but still finite
     span = max(bounds.x1 - bounds.x0, bounds.y1 - bounds.y0)
     angle = rng.uniform(-math.pi, math.pi)
     cx, cy = 0.5 * (bounds.x0 + bounds.x1), 0.5 * (bounds.y0 + bounds.y1)
     return HighCommand(cmd.id, HighKind.MOVE_TO, now,
-                       x=cx + 3.0 * span * math.cos(angle),
-                       y=cy + 3.0 * span * math.sin(angle))
+                       ((cx + 3.0 * span * math.cos(angle),
+                         cy + 3.0 * span * math.sin(angle)),))
+
+
+# The keys each command kind reads, as ``HighCommand.to_payload`` writes them.
+_COMMAND_KEYS = {HighKind.MOVE_TO: {"x", "y", "speed"},
+                 HighKind.FOLLOW_PATH: {"waypoints", "speed"},
+                 HighKind.ROTATE_TO: {"theta"},
+                 HighKind.STOP: set(), HighKind.QUERY_STATUS: set()}
+_ANY_COMMAND_KEY = set().union(*_COMMAND_KEYS.values())
 
 
 def parse_llm_commands(
@@ -249,8 +248,9 @@ def parse_llm_commands(
     The output must be a string (a reply's ``content`` is decoded JSON and
     may be null, a list or a number). The first JSON array found is taken;
     every element must be an object with a known "kind" and in-range
-    parameters. Any invalid element rejects the whole batch (raise, never
-    silently clamp).
+    parameters. Each kind reads only its own keys; a key of another kind
+    is an error, and a key no kind reads is ignored. Any invalid element
+    rejects the whole batch (raise, never silently clamp).
     """
     if not isinstance(response_text, str):
         raise MalformedCommandError(
@@ -274,12 +274,14 @@ def parse_llm_commands(
             kind = HighKind(kind_name)
         except ValueError:
             raise MalformedCommandError(f"unknown command kind: {kind_name!r}")
-        cmd = HighCommand(
-            next_id(), kind, now,
-            x=_num(item.get("x")), y=_num(item.get("y")),
-            theta=_num(item.get("theta")), speed=_num(item.get("speed")),
-            waypoints=_waypoints(item.get("waypoints")),
-        )
+        stray = sorted(_ANY_COMMAND_KEY.intersection(item) - _COMMAND_KEYS[kind])
+        if stray:
+            raise MalformedCommandError(f"{kind.value} takes no {stray[0]!r}")
+        route = _route([[item.get("x"), item.get("y")]]
+                       if kind is HighKind.MOVE_TO else item.get("waypoints"))
+        cmd = HighCommand(next_id(), kind, now, route,
+                          theta=_num(item.get("theta")),
+                          speed=_num(item.get("speed")))
         cmd.validate(v_wheel_max)
         commands.append(cmd)
     return commands
@@ -296,21 +298,19 @@ def _num(value) -> float | None:
         raise MalformedCommandError(f"number out of range: {value!r}") from None
 
 
-def _waypoints(value) -> tuple[tuple[float, float], ...] | None:
-    """A JSON list of [x, y] number pairs; an absent or empty list is None."""
+def _route(value) -> tuple[tuple[float, float], ...]:
+    """A JSON list of [x, y] number pairs; an absent list is empty."""
     if value is None:
-        return None
+        return ()
     if not isinstance(value, list):
         raise MalformedCommandError(f"waypoints must be an array: {value!r}")
     out = []
     for pair in value:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise MalformedCommandError(f"bad waypoint: {pair!r}")
-        x, y = _num(pair[0]), _num(pair[1])
-        if x is None or y is None:
-            raise MalformedCommandError(f"bad waypoint: {pair!r}")
-        out.append((x, y))
-    return tuple(out) or None
+        point = tuple(map(_num, pair)) if isinstance(pair, list) else ()
+        if len(point) != 2 or None in point:
+            raise MalformedCommandError(f"bad route point: {pair!r}")
+        out.append(point)
+    return tuple(out)
 
 
 _COMMAND_SCHEMA_PROMPT = """\
@@ -318,7 +318,7 @@ You control a differential-drive robot through a safety layer. Reply with a
 JSON array of command objects only. Supported kinds:
   {"kind": "MOVE_TO", "x": <m>, "y": <m>, "speed": <optional m/s>}
   {"kind": "ROTATE_TO", "theta": <rad>}
-  {"kind": "FOLLOW_PATH", "waypoints": [[x, y], ...]}
+  {"kind": "FOLLOW_PATH", "waypoints": [[x, y], ...], "speed": <optional m/s>}
   {"kind": "STOP"}
   {"kind": "QUERY_STATUS"}
 Speeds must lie in (0, %s]. Unsafe commands will be refused by the robot.
@@ -415,6 +415,7 @@ class DecisionAgent:
         self.summary: ScanSummary | None = None
         self.sent_commands: dict[int, HighCommand] = {}
         self.in_flight: int | None = None
+        self._heard_tick = 0  # in-flight send tick or latest feedback tick
         self._cmd_id = 0
 
     def _next_cmd_id(self) -> int:
@@ -439,6 +440,7 @@ class DecisionAgent:
             self.tasks.append(task)
         # (2) perception: feedback and the freshest summary
         feedback = self.feedback_channel.poll(now)
+        self._heard_tick = max([self._heard_tick] + [fb.tick for fb in feedback])
         for summary in self.data_channel.poll(now):
             self.summary = summary
         if self.summary is None:
@@ -455,9 +457,15 @@ class DecisionAgent:
         if task.state is TaskState.PENDING:
             task.state = TaskState.ACTIVE
             self.recorder.emit("DECISION", "task_activated", task.to_payload())
-        # (4) plan — only with no motion command in flight
+        # (4) plan — only with no motion command in flight. A live command
+        # draws feedback every tick, so silence means it or its end was lost.
         if self.in_flight is not None:
-            return
+            if (now - self._heard_tick - self.command_channel.latency
+                    - self.feedback_channel.latency <= SILENCE_TICKS):
+                return
+            self.recorder.emit("DECISION", "command_lost",
+                               {"command_id": self.in_flight})
+            self.in_flight = None
         commands = self._plan(task, now)
         # (5) transmit
         for cmd, original in commands:
@@ -469,9 +477,9 @@ class DecisionAgent:
                 })
             self.sent_commands[cmd.id] = cmd
             self.recorder.emit("DECISION", "command_sent", cmd.to_payload())
-            if cmd.kind in (HighKind.MOVE_TO, HighKind.ROTATE_TO,
-                            HighKind.FOLLOW_PATH, HighKind.STOP):
+            if cmd.kind is not HighKind.QUERY_STATUS:
                 self.in_flight = cmd.id
+                self._heard_tick = now
             self.command_channel.transmit(cmd, now)
 
     def _plan(self, task: Task, now: int

@@ -12,15 +12,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Any
-
-
-@dataclass
-class ChannelStats:
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
 
 
 class Channel:
@@ -45,20 +37,16 @@ class Channel:
         self.drop_probability = drop_probability
         self.rng = rng
         self.on_drop = on_drop  # callable(channel_name, msg), e.g. a tracer
-        self.stats = ChannelStats()
         self._queue: deque[tuple[int, Any]] = deque()
         self._lock = threading.Lock()
 
     def transmit(self, msg: Any, now: int) -> bool:
         """Send a message; returns False when it was dropped at send time."""
         with self._lock:
-            self.stats.sent += 1
-            if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
-                self.stats.dropped += 1
-                dropped = True
-            else:
+            dropped = (self.drop_probability > 0.0
+                       and self.rng.random() < self.drop_probability)
+            if not dropped:
                 self._queue.append((now + self.latency, msg))
-                dropped = False
         if dropped and self.on_drop is not None:
             self.on_drop(self.name, msg)
         return not dropped
@@ -69,7 +57,6 @@ class Channel:
         with self._lock:
             while self._queue and self._queue[0][0] <= now:
                 out.append(self._queue.popleft()[1])
-            self.stats.delivered += len(out)
         return out
 
     def pending(self) -> int:

@@ -367,10 +367,9 @@ def convert(
         if abs(half) > robot.v_wheel_max:
             half = math.copysign(robot.v_wheel_max, half)
         return (LowKind.SET_WHEELS, -half, half), False, waypoint_idx
-    # MOVE_TO is a FOLLOW_PATH of one waypoint: steer to each in order
-    route = ((cmd.x, cmd.y),) if kind is HighKind.MOVE_TO else cmd.waypoints
-    while waypoint_idx < len(route):
-        tx, ty = route[waypoint_idx]
+    # MOVE_TO and FOLLOW_PATH: steer to each route point in order
+    while waypoint_idx < len(cmd.route):
+        tx, ty = cmd.route[waypoint_idx]
         if math.hypot(tx - pose.x, ty - pose.y) <= params.eps_pos:
             waypoint_idx += 1
             continue
@@ -517,7 +516,9 @@ class InstinctController:
 
     # -- command intake ----------------------------------------------------
 
-    def _poll_commands(self, now: int) -> None:
+    def _poll_commands(self, now: int, holding: bool) -> None:
+        """Validate every command due now. A malformed one is refused; a
+        valid one is queued, or answered SAFE_MODE while safe mode holds."""
         for cmd in self.command_channel.poll(now):
             try:
                 cmd.validate(self.device.robot.v_wheel_max)
@@ -530,22 +531,24 @@ class InstinctController:
                                              "MALFORMED", now, verdict))
                 continue
             self._emit("INSTINCT", "command_received", cmd.to_payload())
-            self.queue.append(cmd)
-            self._send_feedback(Feedback(cmd.id, FeedbackStatus.ACCEPTED,
-                                         "QUEUED", now))
+            if holding:
+                status, reason = FeedbackStatus.SAFE_MODE, "SAFE_MODE"
+            else:
+                self.queue.append(cmd)
+                status, reason = FeedbackStatus.ACCEPTED, "QUEUED"
+            self._send_feedback(Feedback(cmd.id, status, reason, now))
 
     def refuse(self, low: LowCommand, verdict: SafetyVerdict, now: int) -> None:
         """Reject an unsafe primitive: nothing reaches the device, the parent
         command terminates, and the verdict rides along in the feedback."""
         self._emit("INSTINCT", "refusal", {
             "low_id": low.id,
-            "parent_id": "SURVIVAL" if low.parent_id is None else low.parent_id,
+            "parent_id": low.parent_id,
             "reason": verdict.reason.value,
             "predicted_min_clearance": verdict.predicted_min_clearance,
         })
-        if low.parent_id is not None:
-            self._send_feedback(Feedback(low.parent_id, FeedbackStatus.REFUSED,
-                                         verdict.reason.value, now, verdict))
+        self._send_feedback(Feedback(low.parent_id, FeedbackStatus.REFUSED,
+                                     verdict.reason.value, now, verdict))
 
     def _execute(self, low: LowCommand, now: int) -> None:
         parent = "SURVIVAL" if low.parent_id is None else low.parent_id
@@ -603,7 +606,7 @@ class InstinctController:
                 self._emit("INSTINCT", "safe_mode_exited", {})
             else:
                 self.device.stop()
-            self._answer_while_safe_mode(now)
+            self._poll_commands(now, holding=True)
             self._send_data(now)
             return
 
@@ -617,7 +620,7 @@ class InstinctController:
             executed_motion = self._roam(scan, scale, now)
 
         # (5) poll high commands; adopt the next one FIFO
-        self._poll_commands(now)
+        self._poll_commands(now, holding=False)
         if self.active is None and self.queue:
             self.active = _ActiveCommand(self.queue.popleft())
 
@@ -667,12 +670,6 @@ class InstinctController:
             tick=self._scan.tick,
         )
 
-    def _answer_while_safe_mode(self, now: int) -> None:
-        for cmd in self.command_channel.poll(now):
-            self._emit("INSTINCT", "command_received", cmd.to_payload())
-            self._send_feedback(Feedback(cmd.id, FeedbackStatus.SAFE_MODE,
-                                         "SAFE_MODE", now))
-
     def _roam(self, scan: LidarScan, scale: float, now: int) -> bool:
         vl, vr = roam_intent(self._summary(), self.roam_rng, self.device.robot,
                              self.params, scan.max_range)
@@ -706,11 +703,8 @@ class InstinctController:
         low = LowCommand(self._next_low_id(), active.cmd.id, kind,
                          vl * scale, vr * scale)
         verdict = self.safety_check(low, now)
-        self._emit("INSTINCT", "verdict", {
-            "low_id": low.id, "parent_id": active.cmd.id, "safe": verdict.safe,
-            "predicted_min_clearance": verdict.predicted_min_clearance,
-            "reason": verdict.reason.value,
-        })
+        ids = {"low_id": low.id, "parent_id": low.parent_id}
+        self._emit("INSTINCT", "verdict", {**ids, **verdict.to_payload()})
         if not verdict.safe:
             self.refuse(low, verdict, now)
             self.active = None

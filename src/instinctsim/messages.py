@@ -81,33 +81,28 @@ TERMINAL_STATUSES = frozenset(
 
 @dataclass(frozen=True)
 class HighCommand:
-    """Agent-level symbolic command; parameters depend on ``kind``."""
+    """Agent-level symbolic command. ``route`` is a MOVE_TO's one target or
+    a FOLLOW_PATH's waypoints, empty for the other kinds; ``theta`` is a
+    ROTATE_TO's heading; ``speed`` optionally caps a route kind's travel."""
 
     id: int
     kind: HighKind
     issued_tick: int
-    x: float | None = None
-    y: float | None = None
+    route: tuple[tuple[float, float], ...] = ()
     theta: float | None = None
     speed: float | None = None
-    waypoints: tuple[tuple[float, float], ...] | None = None
 
     def validate(self, v_wheel_max: float) -> None:
         """Raise MalformedCommandError unless the parameters are usable."""
-        if self.kind is HighKind.MOVE_TO:
-            if self.x is None or self.y is None:
-                raise MalformedCommandError("MOVE_TO requires x and y")
-            if not (math.isfinite(self.x) and math.isfinite(self.y)):
-                raise MalformedCommandError("MOVE_TO target must be finite")
+        if self.kind in (HighKind.MOVE_TO, HighKind.FOLLOW_PATH):
+            if not self.route:
+                raise MalformedCommandError(f"{self.kind.value} requires a route")
+            for point in self.route:
+                if len(point) != 2 or not all(math.isfinite(v) for v in point):
+                    raise MalformedCommandError(f"bad route point: {point!r}")
         elif self.kind is HighKind.ROTATE_TO:
             if self.theta is None or not math.isfinite(self.theta):
                 raise MalformedCommandError("ROTATE_TO requires finite theta")
-        elif self.kind is HighKind.FOLLOW_PATH:
-            if not self.waypoints:
-                raise MalformedCommandError("FOLLOW_PATH requires waypoints")
-            for wp in self.waypoints:
-                if len(wp) != 2 or not all(math.isfinite(v) for v in wp):
-                    raise MalformedCommandError(f"bad waypoint: {wp!r}")
         if self.speed is not None:
             if not math.isfinite(self.speed) or not 0.0 < self.speed <= v_wheel_max:
                 raise MalformedCommandError(
@@ -115,14 +110,17 @@ class HighCommand:
                 )
 
     def to_payload(self) -> dict:
+        """The command's JSON shape, in the trace and in LLM replies."""
         out: dict = {"id": self.id, "kind": self.kind.value,
                      "issued_tick": self.issued_tick}
-        for key in ("x", "y", "theta", "speed"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.waypoints is not None:
-            out["waypoints"] = [list(wp) for wp in self.waypoints]
+        if self.kind is HighKind.MOVE_TO:
+            out["x"], out["y"] = self.route[0]
+        elif self.kind is HighKind.FOLLOW_PATH:
+            out["waypoints"] = [list(p) for p in self.route]
+        if self.theta is not None:
+            out["theta"] = self.theta
+        if self.speed is not None:
+            out["speed"] = self.speed
         return out
 
 

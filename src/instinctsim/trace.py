@@ -41,7 +41,9 @@ class TraceRecorder:
     """Assigns (tick, seq) to events and fans them out to sinks.
 
     ``store=False`` keeps long runs out of memory; sinks still see every
-    event. Thread-safe so live mode can share one recorder across layers.
+    event. Thread-safe so live mode can share one recorder across layers:
+    sinks are called under the lock, so they see events in (tick, seq)
+    order even when several threads emit.
     """
 
     def __init__(self, store: bool = True,
@@ -69,8 +71,9 @@ class TraceRecorder:
             self._seq += 1
             if self.store:
                 self.events.append(event)
-        for sink in self.sinks:
-            sink(event)
+            # No sink emits, so a plain Lock cannot deadlock here.
+            for sink in self.sinks:
+                sink(event)
         return event
 
 

@@ -19,6 +19,8 @@ from instinctsim.agent import (
     ReflectionNote,
     Task,
     TaskState,
+    _COMMAND_KEYS,
+    _COMMAND_SCHEMA_PROMPT,
     hallucinate_wrap,
     parse_llm_commands,
     plan_rule,
@@ -92,8 +94,8 @@ class TestSelfReflection:
         notes = ReflectionNote()
         # command bearing ~10 degrees: sector 0
         cmd = HighCommand(1, HighKind.MOVE_TO, 0,
-                          x=2.0 * math.cos(math.radians(10)),
-                          y=2.0 * math.sin(math.radians(10)))
+                          ((2.0 * math.cos(math.radians(10)),
+                            2.0 * math.sin(math.radians(10))),))
         self_reflection(notes, [refusal_feedback(1)], make_summary(),
                         {1: cmd}, now=100)
         assert set(notes.blocked_bearings) == {0}
@@ -141,7 +143,7 @@ class TestPlanRule:
                          self.next_id(), now=0)
         assert len(cmds) == 1
         assert cmds[0].kind is HighKind.MOVE_TO
-        assert (cmds[0].x, cmds[0].y) == (3.0, 2.0)
+        assert cmds[0].route == ((3.0, 2.0),)
 
     def test_detour_when_goal_sector_blocked(self):
         # goal dead ahead: sector 0
@@ -150,7 +152,7 @@ class TestPlanRule:
         cmds = plan_rule(task, notes, make_summary(),
                          self.next_id(), now=0)
         assert len(cmds) == 1
-        wp = (cmds[0].x, cmds[0].y)
+        (wp,) = cmds[0].route
         assert wp != (3.0, 0.0)
         assert math.hypot(*wp) == pytest.approx(DETOUR_DISTANCE)
         # detour heads into an adjacent sector, not the blocked one
@@ -169,7 +171,7 @@ class TestPlanRule:
                     waypoint_idx=1)
         cmds = plan_rule(task, ReflectionNote(), make_summary(),
                          self.next_id(), now=0)
-        assert (cmds[0].x, cmds[0].y) == (0.0, 1.0)
+        assert cmds[0].route == ((0.0, 1.0),)
 
     def test_hold_stops(self):
         cmds = plan_rule(Task(1, Goal(GoalKind.HOLD)), ReflectionNote(),
@@ -179,7 +181,7 @@ class TestPlanRule:
 
 class TestHallucinateWrap:
     def plan(self):
-        return [HighCommand(i, HighKind.MOVE_TO, 0, x=1.0, y=float(i))
+        return [HighCommand(i, HighKind.MOVE_TO, 0, ((1.0, float(i)),))
                 for i in range(1, 6)]
 
     def test_probability_zero_is_identity(self):
@@ -224,6 +226,7 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=10,
 )
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _FIELD = st.none() | st.integers() | st.floats() | _JSON
 # Objects shaped like commands: mostly numeric fields and lists of would-be
 # waypoint pairs, with arbitrary JSON anywhere.
@@ -246,7 +249,7 @@ class TestParseLlmCommands:
         cmds = parse_llm_commands(text, 0.5, self.next_id(), now=3)
         assert len(cmds) == 1
         assert cmds[0].kind is HighKind.MOVE_TO
-        assert (cmds[0].x, cmds[0].y) == (1.0, 2.0)
+        assert cmds[0].route == ((1.0, 2.0),)
         assert cmds[0].issued_tick == 3
 
     def test_unknown_kind_rejects_batch(self):
@@ -279,7 +282,7 @@ class TestParseLlmCommands:
         cmds = parse_llm_commands(text, 0.5, self.next_id(), now=0)
         assert [c.kind for c in cmds] == [HighKind.ROTATE_TO,
                                           HighKind.FOLLOW_PATH, HighKind.STOP]
-        assert cmds[1].waypoints == ((1.0, 0.0), (1.0, 1.0))
+        assert cmds[1].route == ((1.0, 0.0), (1.0, 1.0))
 
     @pytest.mark.parametrize("waypoints", [
         "[[1, 2, 3]]", "[[1, null]]", "5", '"ab"', "[5]", '[["1", "2"]]',
@@ -306,10 +309,56 @@ class TestParseLlmCommands:
             return
         for cmd in cmds:
             cmd.validate(0.5)
-            for value in (cmd.x, cmd.y, cmd.theta, cmd.speed):
+            for value in (cmd.theta, cmd.speed):
                 assert value is None or type(value) is float
-            for wp in cmd.waypoints or ():
+            for wp in cmd.route:
                 assert len(wp) == 2 and all(type(v) is float for v in wp)
+
+    @pytest.mark.parametrize("item, key", [
+        ({"kind": "MOVE_TO", "x": 1, "y": 2, "waypoints": [[5, 5], [6, 6]]},
+         "waypoints"),
+        ({"kind": "STOP", "x": 3}, "x"),
+        ({"kind": "ROTATE_TO", "theta": 1.0, "speed": 0.3}, "speed"),
+        ({"kind": "FOLLOW_PATH", "waypoints": [[1, 0]], "x": 9}, "x"),
+    ])
+    def test_key_of_another_kind_rejects_batch(self, item, key):
+        text = json.dumps([{"kind": "STOP"}, item])
+        with pytest.raises(MalformedCommandError,
+                           match=f"{item['kind']} takes no '{key}'"):
+            parse_llm_commands(text, 0.5, self.next_id(), now=0)
+
+    def test_key_no_kind_reads_is_ignored(self):
+        text = '[{"kind": "MOVE_TO", "x": 1, "y": 2, "note": "go"}]'
+        (cmd,) = parse_llm_commands(text, 0.5, self.next_id(), now=0)
+        assert cmd.route == ((1.0, 2.0),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_schema_round_trips(self, data):
+        point = st.tuples(_FINITE, _FINITE)
+        kind = data.draw(st.sampled_from(HighKind))
+        route, theta, speed = (), None, None
+        if kind is HighKind.MOVE_TO:
+            route = (data.draw(point),)
+        elif kind is HighKind.FOLLOW_PATH:
+            route = tuple(data.draw(st.lists(point, min_size=1, max_size=5)))
+        elif kind is HighKind.ROTATE_TO:
+            theta = data.draw(_FINITE)
+        if route:
+            speed = data.draw(st.none() | st.floats(
+                0.0, ROBOT.v_wheel_max, exclude_min=True))
+        cmd = HighCommand(7, kind, 3, route, theta, speed)
+        cmd.validate(ROBOT.v_wheel_max)
+        text = json.dumps([cmd.to_payload()])
+        assert parse_llm_commands(text, ROBOT.v_wheel_max, lambda: 7,
+                                  now=3) == [cmd]
+
+    def test_schema_prompt_names_every_kind_and_key(self):
+        lines = _COMMAND_SCHEMA_PROMPT.splitlines()
+        for kind in HighKind:
+            (line,) = [ln for ln in lines if f'"kind": "{kind.value}"' in ln]
+            for key in _COMMAND_KEYS[kind]:
+                assert f'"{key}"' in line, (kind, key)
 
 
 class TestLlmBackend:

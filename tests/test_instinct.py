@@ -155,7 +155,7 @@ class TestGovernor:
         # obstacle 0.375 m ahead: command wheels halve
         world = WorldModel(bounds=BOUNDS, circles=(Circle(0.575, 0.0, 0.2),))
         stack = make_stack(world=world)
-        cmd = HighCommand(1, HighKind.MOVE_TO, 0, x=-2.0, y=0.0)
+        cmd = HighCommand(1, HighKind.MOVE_TO, 0, ((-2.0, 0.0),))
         stack.command.transmit(cmd, 0)
         stack.controller.tick(0)
         execs = [e for e in stack.recorder.events if e.kind == "exec_wheels"]
@@ -191,7 +191,7 @@ class TestRoaming:
         params = InstinctParams(roaming=True)
         stack = make_stack(params=params)
         stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=3.0, y=0.0), 0)
+            HighCommand(1, HighKind.MOVE_TO, 0, ((3.0, 0.0),)), 0)
         stack.controller.tick(0)
         stack.controller.tick(1)
         roams = [e for e in stack.recorder.events
@@ -211,7 +211,7 @@ class TestSafeMode:
     def test_unsafe_tick_executes_nothing_and_reports(self):
         stack = self.make_unsafe_stack()
         stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=3.0, y=0.0), 0)
+            HighCommand(1, HighKind.MOVE_TO, 0, ((3.0, 0.0),)), 0)
         stack.controller.tick(0)
         events = stack.recorder.events
         assert not [e for e in events if e.kind.startswith("exec_")]
@@ -236,7 +236,7 @@ class TestSafeMode:
         stack = self.make_unsafe_stack()
         for cid in (1, 2, 3):
             stack.controller.queue.append(
-                HighCommand(cid, HighKind.MOVE_TO, 0, x=1.0, y=1.0))
+                HighCommand(cid, HighKind.MOVE_TO, 0, ((1.0, 1.0),)))
         stack.controller.tick(0)
         safe_mode_fb = [e.payload["command_id"]
                         for e in stack.recorder.events
@@ -262,7 +262,7 @@ class TestSafeMode:
         assert [e.tick for e in exits] == [200]
         # commands are handled again from tick 201
         stack.command.transmit(
-            HighCommand(9, HighKind.MOVE_TO, 201, x=0.0, y=-3.0), 201)
+            HighCommand(9, HighKind.MOVE_TO, 201, ((0.0, -3.0),)), 201)
         stack.controller.tick(201)
         assert [e for e in stack.recorder.events if e.kind == "exec_wheels"]
 
@@ -272,17 +272,35 @@ class TestSafeMode:
         stack.device.state = replace(stack.device.state,
                                      pose=Pose2D(-3.0, -3.0, 0.0))
         stack.command.transmit(
-            HighCommand(5, HighKind.MOVE_TO, 1, x=0.0, y=0.0), 1)
+            HighCommand(5, HighKind.MOVE_TO, 1, ((0.0, 0.0),)), 1)
         stack.controller.tick(1)
         fb = [e.payload for e in stack.recorder.events
               if e.kind == "feedback" and e.payload["command_id"] == 5]
         assert [f["status"] for f in fb] == ["SAFE_MODE"]
 
+    def test_malformed_command_during_hold_is_refused(self):
+        stack = self.make_unsafe_stack()
+        stack.controller.tick(0)
+        stack.device.state = replace(stack.device.state,
+                                     pose=Pose2D(-3.0, -3.0, 0.0))
+        stack.command.transmit(
+            HighCommand(5, HighKind.MOVE_TO, 1, ((math.nan, 0.0),)), 1)
+        stack.controller.tick(1)
+        assert stack.device.state.mode is Mode.SAFE
+        events = [e for e in stack.recorder.events if e.tick == 1]
+        assert [e.payload["id"] for e in events
+                if e.kind == "command_malformed"] == [5]
+        assert not [e for e in events if e.kind == "command_received"]
+        fb = [e.payload for e in events
+              if e.kind == "feedback" and e.payload["command_id"] == 5]
+        assert [(f["status"], f["reason"]) for f in fb] == \
+            [("REFUSED", "MALFORMED")]
+
 
 class TestConvert:
     def test_straight_clamped(self):
         intent, done, _ = convert(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=1.0, y=0.0),
+            HighCommand(1, HighKind.MOVE_TO, 0, ((1.0, 0.0),)),
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert not done
         kind, vl, vr = intent
@@ -291,7 +309,7 @@ class TestConvert:
 
     def test_target_behind_rotates_in_place(self):
         intent, done, _ = convert(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=-1.0, y=0.0),
+            HighCommand(1, HighKind.MOVE_TO, 0, ((-1.0, 0.0),)),
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         kind, vl, vr = intent
         assert not done and kind is LowKind.SET_WHEELS
@@ -300,7 +318,7 @@ class TestConvert:
 
     def test_position_deadband_completes(self):
         intent, done, _ = convert(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=0.04, y=0.0),
+            HighCommand(1, HighKind.MOVE_TO, 0, ((0.04, 0.0),)),
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert intent is None and done
 
@@ -326,7 +344,7 @@ class TestConvert:
 
     def test_follow_path_advances_waypoints(self):
         cmd = HighCommand(1, HighKind.FOLLOW_PATH, 0,
-                          waypoints=((0.02, 0.0), (1.0, 0.0)))
+                          ((0.02, 0.0), (1.0, 0.0)))
         intent, done, idx = convert(cmd, Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert idx == 1 and not done
         assert intent[0] is LowKind.SET_WHEELS
@@ -337,7 +355,7 @@ class TestConvert:
     def test_closed_loop_reaches_goal_under_60s(self):
         # repeated convert + physics from (0,0,0) to (3,2) in an empty world
         world = WorldModel(bounds=Rect(-5, -5, 5, 5))
-        cmd = HighCommand(1, HighKind.MOVE_TO, 0, x=3.0, y=2.0)
+        cmd = HighCommand(1, HighKind.MOVE_TO, 0, ((3.0, 2.0),))
         state = RobotState(pose=Pose2D(0, 0, 0))
         for tick in range(6000):
             intent, done, _ = convert(cmd, state.pose, ROBOT, PARAMS)
@@ -452,7 +470,7 @@ class TestRefusal:
     def test_refused_command_never_reaches_device(self):
         stack = self.make_refusing_stack()
         stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=2.5, y=0.0), 0)
+            HighCommand(1, HighKind.MOVE_TO, 0, ((2.5, 0.0),)), 0)
         stack.controller.tick(0)
         events = stack.recorder.events
         assert not [e for e in events if e.kind.startswith("exec_")]
@@ -465,7 +483,7 @@ class TestRefusal:
     def test_refusal_feedback_carries_verdict(self):
         stack = self.make_refusing_stack()
         stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=2.5, y=0.0), 0)
+            HighCommand(1, HighKind.MOVE_TO, 0, ((2.5, 0.0),)), 0)
         stack.controller.tick(0)
         fb = [f for f in stack.feedback.poll(0)
               if f.status is FeedbackStatus.REFUSED]
@@ -475,7 +493,7 @@ class TestRefusal:
         assert fb[0].reason == "OBSTACLE_PREDICTED"
 
     def test_malformed_command_refused(self, stack):
-        bad = HighCommand(7, HighKind.MOVE_TO, 0, x=math.nan, y=0.0)
+        bad = HighCommand(7, HighKind.MOVE_TO, 0, ((math.nan, 0.0),))
         stack.command.transmit(bad, 0)
         stack.controller.tick(0)
         fb = stack.feedback.poll(0)
@@ -487,7 +505,7 @@ class TestRefusal:
 class TestTickContract:
     def test_safe_tick_with_move_executes_once(self, stack):
         stack.command.transmit(
-            HighCommand(1, HighKind.MOVE_TO, 0, x=3.0, y=0.0), 0)
+            HighCommand(1, HighKind.MOVE_TO, 0, ((3.0, 0.0),)), 0)
         stack.controller.tick(0)
         events = stack.recorder.events
         execs = [e for e in events if e.kind == "exec_wheels"]

@@ -255,6 +255,28 @@ class TestRunLevelInvariants:
                          "channels": replace(sc.channels, feedback_drop=0.3,
                                              data_drop=0.2)})
         rt = build_runtime(sc)
+        channels = (rt.instinct.feedback_channel, rt.instinct.data_channel)
+        counts = {ch.name: {"sent": 0, "delivered": 0, "dropped": 0}
+                  for ch in channels}
+
+        def count(ch):
+            transmit, poll, n = ch.transmit, ch.poll, counts[ch.name]
+
+            def counted_transmit(msg, now):
+                n["sent"] += 1
+                ok = transmit(msg, now)
+                n["dropped"] += not ok
+                return ok
+
+            def counted_poll(now):
+                out = poll(now)
+                n["delivered"] += len(out)
+                return out
+
+            ch.transmit, ch.poll = counted_transmit, counted_poll
+
+        for ch in channels:
+            count(ch)
         for now in range(sc.ticks):
             rt.step(now)
             if now % sc.agent.period_ticks == 0:
@@ -264,11 +286,25 @@ class TestRunLevelInvariants:
             if e.layer == "BUS" and e.kind == "dropped":
                 ch = e.payload["channel"]
                 traced_drops[ch] = traced_drops.get(ch, 0) + 1
-        for ch in (rt.instinct.feedback_channel, rt.instinct.data_channel):
-            stats = ch.stats
-            assert stats.dropped > 0, f"{ch.name} never dropped"
-            assert stats.sent == stats.delivered + stats.dropped + ch.pending()
-            assert traced_drops.get(ch.name, 0) == stats.dropped
+        for ch in channels:
+            n = counts[ch.name]
+            assert n["dropped"] > 0, f"{ch.name} never dropped"
+            assert n["sent"] == n["delivered"] + n["dropped"] + ch.pending()
+            assert traced_drops.get(ch.name, 0) == n["dropped"]
+
+    @pytest.mark.parametrize("seed", [0, 2, 14])
+    def test_lost_feedback_does_not_stall_the_agent(self, seed):
+        # each seed drops the terminal feedback of an in-flight command; the
+        # agent gives it up after the silence and plans on to a terminal task
+        sc = random_scenario(seed, backend="rule", ticks=6000)
+        sc = replace(sc, channels=replace(sc.channels, feedback_drop=0.2))
+        auditor = TraceAuditor()
+        trace, metrics = run_sim(sc, sinks=[auditor])
+        assert metrics.tasks_completed + metrics.tasks_blocked == 1
+        assert metrics.ticks < 6000
+        lost = [e for e in trace if e.kind == "command_lost"]
+        assert lost and all(e.layer == "DECISION" for e in lost)
+        assert auditor.finish() == []
 
 
 class TestBaselineTask:

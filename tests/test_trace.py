@@ -1,6 +1,7 @@
 """Trace plumbing tests: files, ordering, metrics replay, the auditor."""
 
 import json
+import threading
 
 from instinctsim.trace import (
     MetricsAccumulator,
@@ -46,6 +47,29 @@ class TestRecorder:
         rec.emit("DEVICE", "state", {})
         assert rec.events == []
         assert len(seen) == 1
+
+    def test_sinks_see_events_in_seq_order_across_threads(self):
+        # thread A's sink waits (up to 0.5 s) for B's emit to finish; B must
+        # not be delivered before A's earlier seq
+        delivered = []
+        a_in_sink = threading.Event()
+        b_emitted = threading.Event()
+
+        def sink(event):
+            if event.payload["who"] == "A":
+                a_in_sink.set()
+                b_emitted.wait(0.5)
+            delivered.append(event.seq)
+
+        rec = TraceRecorder(store=False, sinks=[sink])
+        a = threading.Thread(target=rec.emit,
+                             args=("DEVICE", "state", {"who": "A"}))
+        a.start()
+        assert a_in_sink.wait(5.0)
+        rec.emit("DEVICE", "state", {"who": "B"})
+        b_emitted.set()
+        a.join()
+        assert delivered == [0, 1]
 
 
 class TestTraceFiles:
