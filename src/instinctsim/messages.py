@@ -97,6 +97,9 @@ class HighCommand:
         if self.kind in (HighKind.MOVE_TO, HighKind.FOLLOW_PATH):
             if not self.route:
                 raise MalformedCommandError(f"{self.kind.value} requires a route")
+            if self.kind is HighKind.MOVE_TO and len(self.route) != 1:
+                raise MalformedCommandError(
+                    f"MOVE_TO takes exactly one point, got {len(self.route)}")
             for point in self.route:
                 if len(point) != 2 or not all(math.isfinite(v) for v in point):
                     raise MalformedCommandError(f"bad route point: {point!r}")

@@ -11,6 +11,12 @@ The integration is array code: the step times, wheel speeds, heading and
 position are each one ``np.cumsum``, which adds in the same order as a loop
 that steps one ``dt_fine`` at a time. It gives the same bits as that scalar
 loop, which ``tests/test_oracle.py`` keeps as the frozen reference.
+
+The distance to the belief is measured only for the points that can hold
+the minimum. Each chunk of samples has a bounding box, and a point is
+dropped before any square is formed when its gap to every box exceeds a
+real sample-to-point distance. The verdicts are the same bits as measuring
+every point; ``_obstacle_min`` gives the argument.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from .world import Pose2D, WorldModel, clearance, random_world, scan
 # Oracle clearances this close to d_min are attributed to integration
 # resolution; see docs/boundary_band.md for the derivation.
 BOUNDARY_BAND = 0.02
+
+# Samples per bounding box in ``_obstacle_min``'s pruning.
+_CHUNK = 48
 
 
 @dataclass(frozen=True)
@@ -168,6 +177,28 @@ def _fine_path(
     return px, py
 
 
+def _squares(points: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Squared distances, point-major: (points, samples)."""
+    d2 = points[:, :1] - px
+    d2 *= d2
+    dy2 = points[:, 1:] - py
+    dy2 *= dy2
+    d2 += dy2
+    return d2
+
+
+def _chunk_gaps(p: np.ndarray, s: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """Squared gaps, (values, chunks), from each value in the column ``p``
+    to the span of ``s`` over each chunk that begins at ``starts``; zero
+    inside a span."""
+    g = np.maximum(np.minimum.reduceat(s, starts) - p,
+                   p - np.maximum.reduceat(s, starts))
+    np.maximum(g, 0.0, out=g)
+    g *= g
+    return g
+
+
 def _obstacle_min(px: np.ndarray, py: np.ndarray, points: np.ndarray) -> float:
     """Least ``hypot`` from any sample to any belief point.
 
@@ -178,13 +209,28 @@ def _obstacle_min(px: np.ndarray, py: np.ndarray, points: np.ndarray) -> float:
     ``hypot`` ties or beats the least square's pair has a square within
     ~1e-15 of the least, far inside 1e-9. The 1e-300 floor keeps this true
     where squares underflow (distances below 1e-150 m).
+
+    Only the points that can hold a candidate are squared against every
+    sample. The samples are cut into chunks of ``_CHUNK``. The squares from
+    every chunk's first sample give ``u2``, a real pair's square and so at
+    least the least one. A point's squared gap to a chunk's bounding box is
+    no larger than its square to any sample in the box: each coordinate gap
+    is no larger than the sample's, and rounding is monotone, so this holds
+    for the computed floats too. A point is kept if its least gap over the
+    boxes is within ``max(u2 * (1 + 1e-6), 1e-300)``; the relative slack is
+    spare. The candidate cut is ``max(least * (1 + 1e-9), 1e-300)`` with
+    least <= ``u2``, so every pair within it belongs to a kept point, the
+    least pair among them. The kept rows then give the same least square,
+    the same candidates and the same float. Without the 1e-300 in the keep
+    bound, an underflowed ``u2`` of 0 could drop a point whose square is a
+    subnormal yet whose ``hypot`` is the least.
     """
-    d2 = points[:, :1] - px  # point-major: (points, samples)
-    d2 *= d2
-    dy2 = points[:, 1:] - py
-    dy2 *= dy2
-    d2 += dy2
-    del dy2
+    starts = np.arange(0, px.shape[0], _CHUNK)
+    u2 = float(_squares(points, px[::_CHUNK], py[::_CHUNK]).min())
+    gaps = _chunk_gaps(points[:, :1], px, starts)
+    gaps += _chunk_gaps(points[:, 1:], py, starts)
+    points = points[gaps.min(axis=1) <= max(u2 * (1.0 + 1e-6), 1e-300)]
+    d2 = _squares(points, px, py)
     cut = max(float(d2.min()) * (1.0 + 1e-9), 1e-300)
     i, j = np.nonzero(d2 <= cut)
     return float(np.min(np.hypot(px[j] - points[i, 0], py[j] - points[i, 1])))

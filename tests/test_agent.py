@@ -228,15 +228,40 @@ _JSON = st.recursive(
 )
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _FIELD = st.none() | st.integers() | st.floats() | _JSON
-# Objects shaped like commands: mostly numeric fields and lists of would-be
-# waypoint pairs, with arbitrary JSON anywhere.
-_LLM_COMMAND = st.fixed_dictionaries(
-    {"kind": st.sampled_from([k.value for k in HighKind]) | _JSON},
-    optional={
-        **{key: _FIELD for key in ("x", "y", "theta", "speed")},
-        "waypoints": st.lists(st.lists(_FIELD, max_size=3), max_size=3) | _JSON,
-    },
-)
+_COORD = st.floats(-5.0, 5.0) | st.integers(-5, 5) | _FIELD
+_KEY_VALUE = {
+    **{key: _COORD for key in ("x", "y", "theta")},
+    "speed": st.floats(0.0, 1.0) | _FIELD,
+    "waypoints": st.lists(st.lists(_COORD, min_size=2, max_size=2),
+                          min_size=1, max_size=3)
+    | st.lists(st.lists(_COORD, max_size=3), max_size=3) | _JSON,
+}
+
+
+@st.composite
+def _llm_command(draw):
+    """An object shaped like a command: a known kind with mostly its own
+    keys, mostly numeric, and now and then a key of another kind; or an
+    arbitrary JSON kind with any keys. Arbitrary JSON may stand anywhere."""
+    # weighted coin flips: hypothesis biases its own small draws, a seeded
+    # Random keeps the odds written below
+    odds = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if odds.random() < 0.1:
+        item, own = {"kind": draw(_JSON)}, _KEY_VALUE.keys()
+    else:
+        kind = draw(st.sampled_from(HighKind))
+        item, own = {"kind": kind.value}, _COMMAND_KEYS[kind]
+    for key in sorted(own):
+        if odds.random() < 0.8:
+            item[key] = draw(_KEY_VALUE[key])
+    stray = sorted(_KEY_VALUE.keys() - own)
+    if stray and odds.random() < 0.1:
+        key = draw(st.sampled_from(stray))
+        item[key] = draw(_KEY_VALUE[key])
+    return item
+
+
+_LLM_COMMAND = _llm_command()
 
 
 class TestParseLlmCommands:
@@ -331,6 +356,17 @@ class TestParseLlmCommands:
         text = '[{"kind": "MOVE_TO", "x": 1, "y": 2, "note": "go"}]'
         (cmd,) = parse_llm_commands(text, 0.5, self.next_id(), now=0)
         assert cmd.route == ((1.0, 2.0),)
+
+    @pytest.mark.parametrize("route", [((0.02, 0.0), (2.0, 0.0)),
+                                       ((1.0, 1.0),) * 3])
+    def test_move_to_takes_exactly_one_point(self, route):
+        # the trace records only a MOVE_TO's first point, so a longer route
+        # would drive where the trace does not say
+        cmd = HighCommand(1, HighKind.MOVE_TO, 0, route)
+        with pytest.raises(MalformedCommandError,
+                           match="MOVE_TO takes exactly one point, got "
+                                 f"{len(route)}"):
+            cmd.validate(ROBOT.v_wheel_max)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -1,5 +1,6 @@
 """Oracle-harness tests: case generation, fine-dt verdicts, agreement math,
-and the array oracle against the scalar loop it replaced."""
+the array oracle against the scalar loop it replaced, and the pruned
+obstacle distance against brute force."""
 
 import math
 import random
@@ -16,7 +17,9 @@ from instinctsim.messages import LowCommand, LowKind, SafetyVerdict, VerdictReas
 from instinctsim.oracle import (
     AgreementReport,
     ScenarioCase,
+    _CHUNK,
     _fine_path,
+    _obstacle_min,
     agreement_report,
     gen_scenario,
     oracle_safety,
@@ -283,6 +286,76 @@ class TestArrayOracleMatchesReference:
             case = gen_scenario(seed)
             assert oracle_safety(case) == reference_oracle_safety(case), \
                 f"seed {seed}"
+
+
+# -- pruned obstacle distance against brute force ------------------------------
+
+def brute_obstacle_min(px, py, points):
+    """``hypot`` over every (sample, point) pair."""
+    return float(np.min(np.hypot(px[:, None] - points[None, :, 0],
+                                 py[:, None] - points[None, :, 1])))
+
+
+@st.composite
+def paths_and_clouds(draw):
+    """A sample path and a belief cloud around it, both scaled together.
+
+    Paths are stationary (zero wheels) or random walks whose length sits on
+    either side of the chunk size. Clouds are random, copies of samples
+    (duplicates included, so several pairs tie at 0), on the edges of a
+    chunk's bounding box, or moved 1e6 m away. A scale of 1e-160 or 1e-200
+    puts every square at or below the underflow floor.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x, y, theta = (draw(st.floats(-4, 4)) for _ in range(3))
+        px, py = _fine_path(Pose2D(x, y, theta), 0.0, 0.0,
+                            draw(st.integers(1, 200)) * PHYSICS_DT, 0.002,
+                            ROBOT)
+    else:
+        n = draw(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                  2 * _CHUNK, 2 * _CHUNK + 1])
+                 | st.integers(1, 20 * _CHUNK))
+        step = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+        px = np.cumsum(rng.normal(0.0, step, n))
+        py = np.cumsum(rng.normal(0.0, step, n))
+    m = draw(st.integers(1, 40))
+    cloud = draw(st.sampled_from(["random", "on_path", "box_edge", "far"]))
+    points = rng.uniform(-4.0, 4.0, (m, 2))
+    if cloud == "on_path":
+        pick = rng.integers(0, px.shape[0], m)
+        points[: m // 2 + 1] = np.column_stack((px, py))[pick][: m // 2 + 1]
+    elif cloud == "box_edge":
+        c = int(rng.integers(0, (px.shape[0] - 1) // _CHUNK + 1))
+        box = [(a.min(), a.max()) for a in (px[c * _CHUNK:(c + 1) * _CHUNK],
+                                            py[c * _CHUNK:(c + 1) * _CHUNK])]
+        on_edge = [rng.choice(edges, m) for edges in box]
+        across = [rng.uniform(lo - 0.01, hi + 0.01, m) for lo, hi in box]
+        on_x = rng.random(m) < 0.5  # on an x edge, else on a y edge
+        points = np.column_stack((np.where(on_x, on_edge[0], across[0]),
+                                  np.where(on_x, across[1], on_edge[1])))
+    elif cloud == "far":
+        points += 1e6
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-160, 1e-200]))
+    return px * scale, py * scale, points * scale
+
+
+class TestPrunedObstacleMin:
+    @settings(max_examples=400, deadline=None)
+    @given(paths_and_clouds())
+    def test_matches_brute_force(self, drawn):
+        px, py, points = drawn
+        assert _obstacle_min(px, py, points) == \
+            brute_obstacle_min(px, py, points)
+
+    def test_underflowed_upper_bound_keeps_subnormal_pairs(self):
+        # on a stationary path at the origin, (1.5e-162, 1.5e-162) squares to
+        # 0 + 0 and gives the upper bound 0, while (1.6e-162, 0) squares to
+        # the least subnormal: its box gap is not 0, yet its hypot is least
+        px = py = np.zeros(3 * _CHUNK)
+        points = np.array([[1.5e-162, 1.5e-162], [1.6e-162, 0.0]])
+        assert _obstacle_min(px, py, points) == 1.6e-162 == \
+            brute_obstacle_min(px, py, points)
 
 
 class TestAgreementReport:
