@@ -413,7 +413,7 @@ class DecisionAgent:
         self.tasks: list[Task] = []
         self.notes = ReflectionNote()
         self.summary: ScanSummary | None = None
-        self.sent_commands: dict[int, HighCommand] = {}
+        self.sent_commands: dict[int, HighCommand] = {}  # until terminal
         self.in_flight: int | None = None
         self._heard_tick = 0  # in-flight send tick or latest feedback tick
         self._cmd_id = 0
@@ -512,6 +512,8 @@ class DecisionAgent:
         for fb in feedback:
             if fb.command_id is None or not fb.terminal:
                 continue
+            # reflection has read the command; no later feedback names it
+            self.sent_commands.pop(fb.command_id, None)
             if fb.command_id == self.in_flight:
                 self.in_flight = None
             if task is None:

@@ -8,6 +8,15 @@ sees it. Feedback and a summarized sensor view go back to the agent every
 tick. The layer never blocks on the agent and keeps working if the agent is
 gone entirely.
 
+Most motions are approved without predicting their trajectory. A travel
+bound L caps how far any predicted sample can lie from the pose
+(``travel_bound``, derived in ``docs/travel_bound.md``). When the pose's
+nearest belief point and its bounds margin keep d_min + radius + L plus a
+rounding margin, the command is approved with that lower bound as its
+clearance, and the verdict says so (``"bound": "disc"``). Every other
+motion is predicted and measured in full, so each verdict's safe flag and
+reason are those of the full check.
+
 Perception is computed once per scan: the belief points, the front minimum
 and the eight-sector digest are derived when a scan arrives, and every
 summary sent in that tick (roaming, ACQUIRE_SCAN, the end-of-tick report)
@@ -22,7 +31,9 @@ to their straightforward forms (frozen in
 ``tests/test_perception_equivalence.py``). The sector minima are one
 ``np.minimum.reduceat`` over the beams grouped by sector, cached per beam
 count; a minimum is exact in any order. The belief points are written into
-one preallocated array with the same multiply and add per coordinate.
+one preallocated array with the same multiply and add per coordinate,
+from the unit directions the ray cast already computed
+(``LidarScan.directions``).
 ``predict_trajectory`` runs a hold loop, where v, omega and the arc radius
 are computed once because the wheel speeds do not change, then a braking
 loop; each sample takes the same operations in the same order as one loop
@@ -131,11 +142,8 @@ class ObstacleBelief:
                   ) -> "ObstacleBelief":
         ranges = scan.ranges
         idx = (ranges < scan.max_range).nonzero()[0]
-        r = ranges[idx]
-        angles = scan.angle_min + scan.angle_increment * idx
         points = np.empty((idx.shape[0], 2))
-        np.multiply(r, np.cos(angles), out=points[:, 0])
-        np.multiply(r, np.sin(angles), out=points[:, 1])
+        np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
         points += (origin_x, origin_y)
         return cls(points=points, built_tick=scan.tick)
 
@@ -266,6 +274,85 @@ def _trajectory_clearances(
     return obstacle_min, bounds_min
 
 
+# Unit roundoff of a float64 operation.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# predict_trajectory integrates a yaw rate at or below this as a straight
+# line, so an arc's radius is below |v| / _ARC_OMEGA_MIN.
+_ARC_OMEGA_MIN = 1e-9
+
+
+def travel_bound(v_left: float, v_right: float, hold_s: float,
+                 robot: RobotParams, dt_pred: float) -> float:
+    """L: how far from its pose any sample of ``predict_trajectory`` lies,
+    in exact arithmetic (``docs/travel_bound.md`` derives it).
+
+    The hold moves at most |v| * hold_s. Braking never raises |v| and
+    stops within v_m / a_max + dt_pred, and its speed is at most the
+    faster wheel's staircase, whose travel is at most
+    v_m * dt_pred + v_m**2 / (2 a_max).
+    """
+    v = abs(0.5 * (v_left + v_right))
+    v_m = max(abs(v_left), abs(v_right))
+    a_max = robot.a_max
+    return v * hold_s + min(v * (v_m / a_max + dt_pred),
+                            v_m * dt_pred + v_m * v_m / (2.0 * a_max))
+
+
+def _disc_verdict(
+    pose: Pose2D,
+    v_left: float,
+    v_right: float,
+    hold_s: float,
+    points: np.ndarray,
+    bounds: Rect,
+    robot: RobotParams,
+    params: InstinctParams,
+) -> SafetyVerdict | None:
+    """Approve a motion whose whole prediction stays in a disc that keeps
+    d_min of body clearance, or return None for the full check.
+
+    Every sample lies within L (``travel_bound``) of the pose, so no sample
+    is nearer a belief point, or the bounds, than the pose's own distance
+    minus L. ``eps`` covers rounding in the samples and in both distance
+    computations (``docs/travel_bound.md``). The verdict reports that
+    certified lower bound, which is at most the full check's clearance.
+    A non-finite pose makes ``eps`` NaN or inf, so it never approves.
+    """
+    x, y = pose.x, pose.y
+    dt_pred = params.dt_pred
+    length = travel_bound(v_left, v_right, hold_s, robot, dt_pred)
+    m = min(x - bounds.x0, bounds.x1 - x, y - bounds.y0, bounds.y1 - y)
+    floor = params.d_min + robot.radius + length
+    if not m >= floor:
+        return None
+    if points.shape[0]:
+        d = points - (x, y)
+        d *= d
+        # the points' distance goes first, so that a NaN one is returned
+        m = min(math.sqrt((d[:, 0] + d[:, 1]).min()), m)
+        if not m >= floor:
+            return None
+    v_m = max(abs(v_left), abs(v_right))
+    axle = robot.axle
+    horizon = hold_s + v_m / robot.a_max + 0.1
+    steps = horizon / dt_pred + 6.0
+    # the largest arc radius: axle / 2 unless both wheels turn the same
+    # way, where the wheel difference sets it (it drifts by rounding only)
+    spread = abs(v_right - v_left)
+    drift = 2.0 * steps * _UNIT_ROUNDOFF * v_m
+    arc = 0.5 * axle
+    if spread + drift >= 0.5 * _ARC_OMEGA_MIN * axle:
+        arc += v_m * axle / max(spread - drift, 0.5 * _ARC_OMEGA_MIN * axle)
+    turn = abs(pose.theta) + 2.0 * v_m * horizon / axle + 8.0
+    eps = 8.0 * _UNIT_ROUNDOFF * steps * (
+        abs(x) + abs(y) + m + length + v_m * horizon + robot.radius + 1.0
+        + arc * turn)
+    lower = m - robot.radius - length - eps
+    if not lower >= params.d_min:
+        return None
+    return SafetyVerdict(True, lower, VerdictReason.OK, bound="disc")
+
+
 def safety_check(
     low: LowCommand,
     pose: Pose2D,
@@ -280,11 +367,12 @@ def safety_check(
 
     STOP_ALL and ACQUIRE_SCAN introduce no motion and are always safe (their
     clearance reports +inf, keeping the safe <=> clearance >= d_min pairing
-    intact). SET_WHEELS is forward-simulated for its duration plus
-    worst-case braking plus a 0.1 s margin; it passes only when every sample
-    keeps at least d_min of body clearance. A stale or missing belief makes
-    every motion command unsafe, conservatively, and so does a wheel speed
-    that is not a number within the wheel limit.
+    intact). SET_WHEELS passes when its travel bound certifies d_min of body
+    clearance (``_disc_verdict``); otherwise it is forward-simulated for its
+    duration plus worst-case braking plus a 0.1 s margin, and passes only
+    when every sample keeps at least d_min of body clearance. A stale or
+    missing belief makes every motion command unsafe, conservatively, and
+    so does a wheel speed that is not a number within the wheel limit.
     """
     if low.kind is not LowKind.SET_WHEELS:
         return SafetyVerdict(True, math.inf, VerdictReason.OK)
@@ -293,10 +381,13 @@ def safety_check(
     limit = robot.v_wheel_max + 1e-9
     if not (abs(low.v_left) <= limit and abs(low.v_right) <= limit):  # NaN too
         return SafetyVerdict(False, -math.inf, VerdictReason.LIMIT_EXCEEDED)
-    samples = predict_trajectory(
-        pose, low.v_left, low.v_right, low.duration_ticks * physics_dt,
-        robot, params.dt_pred,
-    )
+    hold_s = low.duration_ticks * physics_dt
+    fast = _disc_verdict(pose, low.v_left, low.v_right, hold_s, belief.points,
+                         bounds, robot, params)
+    if fast is not None:
+        return fast
+    samples = predict_trajectory(pose, low.v_left, low.v_right, hold_s,
+                                 robot, params.dt_pred)
     obstacle_min, bounds_min = _trajectory_clearances(
         samples, belief.points, bounds, robot.radius
     )

@@ -147,18 +147,26 @@ class LowCommand:
 @dataclass(frozen=True)
 class SafetyVerdict:
     """Outcome of the predictive check; safe iff reason is OK iff the
-    predicted minimum clearance stays at or above d_min."""
+    predicted minimum clearance stays at or above d_min.
+
+    ``bound`` names a clearance that is a certified lower bound rather than
+    the sampled minimum: ``"disc"`` for the travel-bound approval.
+    """
 
     safe: bool
     predicted_min_clearance: float
     reason: VerdictReason
+    bound: str | None = None
 
     def to_payload(self) -> dict:
-        return {
+        out = {
             "safe": self.safe,
             "predicted_min_clearance": self.predicted_min_clearance,
             "reason": self.reason.value,
         }
+        if self.bound is not None:
+            out["bound"] = self.bound
+        return out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 # Instinct-tick phases for the ordering audit. Survival work (status check,
 # safe mode, governor, roaming) must precede command handling within a tick.
@@ -21,8 +21,9 @@ _COMMAND_KINDS = {"command_received", "command_malformed", "verdict", "refusal"}
 _EXEC_KINDS = {"exec_wheels", "exec_stop", "exec_scan"}
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace record; a tuple, which is the cheapest record to build."""
+
     tick: int
     seq: int
     layer: str

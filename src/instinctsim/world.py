@@ -158,13 +158,26 @@ class RobotState:
 @dataclass(frozen=True, eq=False)
 class LidarScan:
     """One sweep: beam i points at ``angle_min + i * angle_increment`` (world
-    frame); a beam that hits nothing reports exactly ``max_range``."""
+    frame); a beam that hits nothing reports exactly ``max_range``.
+
+    ``directions`` holds each beam's unit direction as ``unit_directions``
+    gives it, (2, n) and read-only. ``scan`` passes the directions it cast
+    along; a scan built without them computes them from those angles.
+    """
 
     ranges: np.ndarray
     angle_min: float
     angle_increment: float
     max_range: float
     tick: int
+    directions: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.directions is None:
+            d = unit_directions(self.angle_min + self.angle_increment
+                                * np.arange(len(self.ranges)))
+            d.flags.writeable = False
+            object.__setattr__(self, "directions", d)
 
     @property
     def n_beams(self) -> int:
@@ -197,37 +210,52 @@ def step_kinematics(
     return Pose2D(x, y, wrap_angle(pose.theta))
 
 
+def unit_directions(angles: np.ndarray) -> np.ndarray:
+    """(2, n): the cosine then the sine of each ray angle."""
+    d = np.empty((2, angles.shape[0]))
+    np.cos(angles, out=d[0])
+    np.sin(angles, out=d[1])
+    return d
+
+
 def beam_distances(
     world: WorldModel, ox: float, oy: float, angles: np.ndarray
 ) -> np.ndarray:
-    """Uncapped distance to the first surface along each ray angle.
+    """Uncapped distance to the first surface along each ray angle."""
+    return ray_distances(world, ox, oy, unit_directions(angles))
+
+
+def ray_distances(
+    world: WorldModel, ox: float, oy: float, directions: np.ndarray
+) -> np.ndarray:
+    """Uncapped distance to the first surface along each unit direction,
+    given as ``unit_directions`` returns them.
 
     One slab pass covers the bounds and every rect (a ray starting inside a
     rect hits its exit face, so the container and solid rects share it), one
     pass the circles; the nearest hit is their elementwise minimum.
 
-    Arrays are obstacle-major, (obstacles, beams), with the x and y parts
-    of the slab test and of the circle's d.f and |f|^2 stacked on a leading
-    axis of two, and each family ends in one masked ``np.minimum.reduce``
-    over its obstacles. Every element still goes through the IEEE
-    operations of a one-obstacle-at-a-time cast: a reduce over two elements
-    is the same single max, min or add; the mask drops exactly the entries a
-    per-obstacle ``where`` chain would set to inf; and a minimum does not
-    depend on the order of its operands. So the layout changes no result
-    bit.
+    Arrays are obstacle-major, (obstacles, beams). The lower and upper slab
+    corners are stacked, so one subtract and one divide give every slab
+    parameter; the x and y halves of the slab test and of the circle's d.f
+    are then combined by one binary min, max or add each, and each family
+    ends in one masked ``np.minimum.reduce`` over its obstacles. Every
+    element still goes through the IEEE operations of a one-obstacle-at-a-
+    time cast: the mask drops exactly the entries a per-obstacle ``where``
+    chain would set to inf, and a minimum does not depend on the order of
+    its operands. So the layout changes no result bit.
     """
-    n = angles.shape[0]
-    d = np.empty((2, 1, n))
-    np.cos(angles, out=d[0, 0])
-    np.sin(angles, out=d[1, 0])
+    d = directions[:, None, :]
     # zero direction components stay finite (+-1e-300) without NaNs
-    sd = np.copysign(np.maximum(np.abs(d), 1e-300), d)
+    sd = np.abs(d)
+    np.maximum(sd, 1e-300, out=sd)
+    np.copysign(sd, d, out=sd)
     o = np.array((ox, oy)).reshape(2, 1, 1)
-    lower, upper = world._slabs
-    ta = (lower - o) / sd
-    tb = (upper - o) / sd
-    tmin = np.maximum.reduce(np.minimum(ta, tb), axis=0)
-    tmax = np.minimum.reduce(np.maximum(ta, tb), axis=0)
+    ts = (world._slabs - o) / sd  # (lower/upper, x/y, slabs, beams)
+    near = np.minimum(ts[0], ts[1])
+    far = np.maximum(ts[0], ts[1])
+    tmin = np.maximum(near[0], near[1])
+    tmax = np.minimum(far[0], far[1])
     # the entry face, or the exit face from inside; a miss has tmax < tmin
     t = np.where(tmin > RAY_T_EPS, tmin, tmax)
     best = np.minimum.reduce(t, axis=0, initial=np.inf,
@@ -236,8 +264,10 @@ def beam_distances(
     if circ.shape[1]:
         f = circ[:2] - o
         # p(t) = o + t*d hits the circle when t^2 - 2 t (d.f) + |f|^2 - r^2 = 0
-        b = np.add.reduce(f * d, axis=0)
-        disc = b * b - (np.add.reduce(f * f, axis=0) - circ[2])
+        fd = f * d
+        b = fd[0] + fd[1]
+        ff = f * f
+        disc = b * b - ((ff[0] + ff[1]) - circ[2])
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
         t = np.where(t1 > RAY_T_EPS, t1, b + sq)
@@ -272,8 +302,10 @@ def scan(
     if n_beams < 4:
         raise ValueError("n_beams must be at least 4")
     increment = TWO_PI / n_beams
-    angles = pose.theta + _beam_offsets(n_beams)
-    ranges = np.minimum(beam_distances(world, pose.x, pose.y, angles), max_range)
+    directions = unit_directions(pose.theta + _beam_offsets(n_beams))
+    directions.flags.writeable = False
+    ranges = np.minimum(ray_distances(world, pose.x, pose.y, directions),
+                        max_range)
     if noise_std > 0.0:
         if noise_rng is None:
             raise ValueError("noise_std > 0 requires a noise_rng")
@@ -285,6 +317,7 @@ def scan(
         angle_increment=increment,
         max_range=max_range,
         tick=tick,
+        directions=directions,
     )
 
 

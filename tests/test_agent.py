@@ -508,6 +508,23 @@ class TestAgentTick:
         assert "plan_rejected" in kinds
         assert "agent_crashed" not in kinds
 
+    def test_sent_commands_forgotten_once_terminal(self):
+        # a rule-planned patrol around a 0.5 m square, run for 6,000 ticks
+        route = ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 0.0)) * 20
+        sc = Scenario(ticks=6000,
+                      tasks=(TaskSpec(0, Goal(GoalKind.PATROL, route)),))
+        sent = []
+        rt = runner.build_runtime(sc, store_trace=False, sinks=[
+            lambda e: e.kind == "command_sent" and sent.append(e.tick)])
+        peak = 0
+        for now in range(sc.ticks):
+            rt.step(now)
+            if now % sc.agent.period_ticks == 0:
+                rt.agent_step(now)
+            peak = max(peak, len(rt.agent.sent_commands))
+        assert len(sent) >= 15
+        assert peak <= 2
+
     def test_tasks_processed_fifo(self):
         stack = make_agent()
         stack.task.transmit(Task(1, Goal(GoalKind.HOLD)), 0)

@@ -286,18 +286,47 @@ class TestScanDigest:
 # -- fused ray cast ------------------------------------------------------------
 
 class TestFusedRayCast:
+    # headings whose beams run exactly along an axis (a zero direction
+    # component, of either sign) or within rounding of one
+    AXIS_HEADINGS = (0.0, -0.0, math.pi / 2, -math.pi / 2)
+
     def test_matches_per_obstacle_reference(self):
         rng = random.Random(11)
-        for i in range(150):
-            world = random_scenario(rng.randrange(2**32)).world
-            b = world.bounds
-            # origins outside the bounds and inside obstacles included
-            ox = rng.uniform(b.x0 - 1.0, b.x1 + 1.0)
-            oy = rng.uniform(b.y0 - 1.0, b.y1 + 1.0)
-            angles = rng.uniform(-4.0, 4.0) + np.arange(36) * (math.pi / 18)
-            got = beam_distances(world, ox, oy, angles)
-            want = reference_beam_distances(world, ox, oy, angles)
-            assert np.array_equal(got, want), i
+        for n_beams in (4, 36, 37):
+            for i in range(150):
+                world = random_scenario(rng.randrange(2**32)).world
+                b = world.bounds
+                # origins outside the bounds and inside obstacles included
+                ox = rng.uniform(b.x0 - 1.0, b.x1 + 1.0)
+                oy = rng.uniform(b.y0 - 1.0, b.y1 + 1.0)
+                theta = (self.AXIS_HEADINGS[i] if i < 4
+                         else rng.uniform(-4.0, 4.0))
+                angles = theta + np.arange(n_beams) * (2.0 * math.pi
+                                                       / n_beams)
+                got = beam_distances(world, ox, oy, angles)
+                want = reference_beam_distances(world, ox, oy, angles)
+                assert np.array_equal(got, want), (n_beams, i)
+
+    def test_scan_carries_the_directions_it_cast(self):
+        world = random_scenario(5).world
+        for n_beams in (4, 36, 37):
+            for theta in self.AXIS_HEADINGS + (0.7, -2.9):
+                pose = Pose2D(0.3, -0.2, theta)
+                for noise_std in (0.0, 0.02):
+                    sweep = scan(world, pose, n_beams, 5.0,
+                                 noise_std=noise_std,
+                                 noise_rng=random.Random(1))
+                    # the directions a hand-built scan derives from its angles
+                    bare = LidarScan(sweep.ranges, sweep.angle_min,
+                                     sweep.angle_increment, sweep.max_range,
+                                     sweep.tick)
+                    assert np.array_equal(sweep.directions, bare.directions)
+                    assert not sweep.directions.flags.writeable
+                    points = instinct.ObstacleBelief.from_scan(
+                        sweep, pose.x, pose.y).points
+                    want = reference_belief_points(sweep, pose.x, pose.y)
+                    assert points.shape == want.shape
+                    assert np.array_equal(points, want)
 
     def test_axis_aligned_rays_and_touching_origins(self):
         world = WorldModel(bounds=Rect(-2.0, -2.0, 2.0, 2.0),

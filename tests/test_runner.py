@@ -93,14 +93,14 @@ class TestDeterminism:
             agent=AgentParams(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
-                     "4817b02240e0aa71645cae2a8d3a6f5e"
-                     "3edd9c2e42377c383e3abe4a1eb88b67"),
+                     "a53af0b9035de7c5c14789120b93a5d6"
+                     "0877f6379b7c9a79bdb57736d5ac1401"),
             "hallucinate_kill120": (hallucinating,
-                                    "f2a3a91928d1ddf781fb85ec77474410"
-                                    "63bab16fbbf90c4da41ffa1151d70ffe"),
+                                    "a2ebeaad99d4ca9113ca2fb3a01c305a"
+                                    "c8112987095ab57c3ea411d0bf2675f4"),
             "roaming_kill100": (roaming,
-                                "513e69486b7dfcf94c6febb1adf79db7"
-                                "4611f752333c6566891bbfb784e26cdf"),
+                                "238f7f8731ec2f2a6fbf08458f4cf177"
+                                "5a8b2dc985f5490a71958448d559b0e9"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"

@@ -91,6 +91,15 @@ class TestTraceFiles:
         assert len(lines) == 3
         assert read_trace(str(path)) == events
 
+    def test_event_fields_and_json_bytes(self):
+        event = TraceEvent(3, 1, "INSTINCT", "verdict",
+                           {"safe": True, "bound": "disc"})
+        assert TraceEvent._fields == ("tick", "seq", "layer", "kind",
+                                      "payload")
+        assert event.to_json() == (
+            '{"kind": "verdict", "layer": "INSTINCT", "payload": '
+            '{"bound": "disc", "safe": true}, "seq": 1, "tick": 3}')
+
     def test_events_sorted_by_tick_seq(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(self.sample_events(), str(path))
