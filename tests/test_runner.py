@@ -93,14 +93,14 @@ class TestDeterminism:
             agent=AgentParams(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
-                     "a53af0b9035de7c5c14789120b93a5d6"
-                     "0877f6379b7c9a79bdb57736d5ac1401"),
+                     "d7598ce0ba5fd34c517761acf08bed3e"
+                     "812b357fac8d74f837ee6c25d4c2ee78"),
             "hallucinate_kill120": (hallucinating,
-                                    "a2ebeaad99d4ca9113ca2fb3a01c305a"
-                                    "c8112987095ab57c3ea411d0bf2675f4"),
+                                    "f849ba4530df5280c290df53d8bae9b4"
+                                    "9bcf5b57151e4be1c084a9d65b1ca37d"),
             "roaming_kill100": (roaming,
-                                "238f7f8731ec2f2a6fbf08458f4cf177"
-                                "5a8b2dc985f5490a71958448d559b0e9"),
+                                "280a66163ffd180c4a9ae4a691959a02"
+                                "fa8874e0d12a5220915451052c761fd6"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"
