@@ -132,10 +132,15 @@ class ObstacleBelief:
 
     The layer never sees ground truth; these points (plus the configured
     bounds) are all the predictive check may consult. Memoryless per scan.
+    A belief built from a scan also keeps the scan's origin and its nearest
+    hit range (inf without hits): from that origin, the nearest point lies
+    at that range up to rounding.
     """
 
     points: np.ndarray  # (K, 2) world-frame endpoints of beams that hit
     built_tick: int
+    origin: tuple[float, float] | None = None
+    reach: float = math.inf
 
     @classmethod
     def from_scan(cls, scan: LidarScan, origin_x: float, origin_y: float
@@ -145,7 +150,8 @@ class ObstacleBelief:
         points = np.empty((idx.shape[0], 2))
         np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
         points += (origin_x, origin_y)
-        return cls(points=points, built_tick=scan.tick)
+        reach = float(ranges.min()) if idx.shape[0] else math.inf
+        return cls(points, scan.tick, (origin_x, origin_y), reach)
 
 
 def predict_trajectory(
@@ -303,7 +309,7 @@ def _disc_verdict(
     v_left: float,
     v_right: float,
     hold_s: float,
-    points: np.ndarray,
+    belief: ObstacleBelief,
     bounds: Rect,
     robot: RobotParams,
     params: InstinctParams,
@@ -313,8 +319,9 @@ def _disc_verdict(
 
     Every sample lies within L (``travel_bound``) of the pose, so no sample
     is nearer a belief point, or the bounds, than the pose's own distance
-    minus L. ``eps`` covers rounding in the samples and in both distance
-    computations (``docs/travel_bound.md``). The verdict reports that
+    minus L. From the belief's own origin that distance is its reach.
+    ``eps`` covers rounding in the samples and in the distances
+    (``docs/travel_bound.md``). The verdict reports that
     certified lower bound, which is at most the full check's clearance.
     A non-finite pose makes ``eps`` NaN or inf, so it never approves.
     """
@@ -325,11 +332,15 @@ def _disc_verdict(
     floor = params.d_min + robot.radius + length
     if not m >= floor:
         return None
+    points = belief.points
     if points.shape[0]:
-        d = points - (x, y)
-        d *= d
-        # the points' distance goes first, so that a NaN one is returned
-        m = min(math.sqrt((d[:, 0] + d[:, 1]).min()), m)
+        if belief.origin == (x, y):
+            near = belief.reach
+        else:
+            d = points - (x, y)
+            d *= d
+            near = math.sqrt((d[:, 0] + d[:, 1]).min())
+        m = min(near, m)  # near goes first, so that a NaN one is returned
         if not m >= floor:
             return None
     v_m = max(abs(v_left), abs(v_right))
@@ -382,7 +393,7 @@ def safety_check(
     if not (abs(low.v_left) <= limit and abs(low.v_right) <= limit):  # NaN too
         return SafetyVerdict(False, -math.inf, VerdictReason.LIMIT_EXCEEDED)
     hold_s = low.duration_ticks * physics_dt
-    fast = _disc_verdict(pose, low.v_left, low.v_right, hold_s, belief.points,
+    fast = _disc_verdict(pose, low.v_left, low.v_right, hold_s, belief,
                          bounds, robot, params)
     if fast is not None:
         return fast
@@ -497,7 +508,7 @@ class _Percept(NamedTuple):
     """What the controller derived from one distinct ranges array."""
 
     ranges: np.ndarray
-    points: np.ndarray  # belief points, read-only
+    belief: ObstacleBelief  # its points read-only
     front_min: float
     digest: ScanSummary  # sector minima and nearest return of ``ranges``
 
@@ -736,12 +747,13 @@ class InstinctController:
         p = self._percept
         if (p is not None and p.ranges is scan.ranges
                 and p.digest.pose == state.pose):
-            self.belief = ObstacleBelief(points=p.points, built_tick=scan.tick)
+            b = p.belief
+            self.belief = ObstacleBelief(b.points, scan.tick, b.origin, b.reach)
             return p.front_min
         belief = ObstacleBelief.from_scan(scan, state.pose.x, state.pose.y)
         belief.points.flags.writeable = False  # shared by later beliefs
         self.belief = belief
-        p = _Percept(scan.ranges, belief.points, front_min_range(scan),
+        p = _Percept(scan.ranges, belief, front_min_range(scan),
                      summarize(scan, state))
         self._percept = p
         return p.front_min

@@ -93,14 +93,14 @@ class TestDeterminism:
             agent=AgentParams(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
-                     "d7598ce0ba5fd34c517761acf08bed3e"
-                     "812b357fac8d74f837ee6c25d4c2ee78"),
+                     "039c362d24c9cf558b414ffde8e5e294"
+                     "ffb48964adbefd58102d477e2b2cc474"),
             "hallucinate_kill120": (hallucinating,
-                                    "f849ba4530df5280c290df53d8bae9b4"
-                                    "9bcf5b57151e4be1c084a9d65b1ca37d"),
+                                    "6467c22be3360063f968229c9f107ed5"
+                                    "86ea1902bd50cda4fc2a9f396249f034"),
             "roaming_kill100": (roaming,
-                                "280a66163ffd180c4a9ae4a691959a02"
-                                "fa8874e0d12a5220915451052c761fd6"),
+                                "c1ab6bf0f7e158c15ea6e89e6abce525"
+                                "9bd334512244ef6d35516313da9c5069"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"

@@ -25,11 +25,12 @@ from instinctsim.instinct import (
 )
 from instinctsim.messages import LowCommand, LowKind, VerdictReason
 from instinctsim.oracle import gen_scenario
-from instinctsim.world import Pose2D, Rect
+from instinctsim.world import LidarScan, Pose2D, Rect
 
 ROBOT = RobotParams()
 PARAMS = InstinctParams()
 V_MAX = ROBOT.v_wheel_max
+MAX_RANGE = 5.0
 _WHEEL = st.floats(-V_MAX, V_MAX)
 
 
@@ -54,9 +55,10 @@ def wheel_pairs(draw):
 
 @st.composite
 def near_threshold_cases(draw):
-    """A pose (near the origin or near 1e6 m), a command, belief points and
-    bounds whose binding margin sits a drawn slack above the fast path's
-    floor d_min + radius + L, so that approvals land near the boundary."""
+    """A pose (near the origin or near 1e6 m), a command, a belief (hand
+    placed points, or a scan taken at the pose) and bounds whose binding
+    margin sits a drawn slack above the fast path's floor
+    d_min + radius + L, so that approvals land near the boundary."""
     base = draw(st.sampled_from([0.0, 1e6, -1e6]))
     x = base + draw(st.floats(-3.0, 3.0))
     y = draw(st.sampled_from([0.0, base])) + draw(st.floats(-3.0, 3.0))
@@ -72,6 +74,20 @@ def near_threshold_cases(draw):
     if not near_point:
         walls[draw(st.integers(0, 3))] = reach
     bounds = Rect(x - walls[0], y - walls[1], x + walls[2], y + walls[3])
+    low = LowCommand(1, 2, LowKind.SET_WHEELS, vl, vr, ticks)
+    pose = Pose2D(x, y, theta)
+    if draw(st.booleans()):
+        # a scan taken at the pose: the belief knows its origin and reach
+        n = draw(st.integers(4, 40))
+        ranges = [draw(st.one_of(st.just(MAX_RANGE),
+                                 st.floats(reach, MAX_RANGE)))
+                  for _ in range(n)]
+        if near_point:  # a beam dead ahead, where a straight run heads
+            ranges[0 if draw(st.booleans()) else draw(
+                st.integers(0, n - 1))] = reach
+        sweep = LidarScan(np.array(ranges), theta, 2.0 * math.pi / n,
+                          MAX_RANGE, 0)
+        return pose, low, ObstacleBelief.from_scan(sweep, x, y), bounds
     points = []
     for _ in range(draw(st.integers(0, 20))):
         a = draw(st.floats(-math.pi, math.pi))
@@ -81,9 +97,8 @@ def near_threshold_cases(draw):
         a = theta + draw(st.one_of(st.sampled_from([0.0, math.pi]),
                                    st.floats(-math.pi, math.pi)))
         points.append((x + reach * math.cos(a), y + reach * math.sin(a)))
-    low = LowCommand(1, 2, LowKind.SET_WHEELS, vl, vr, ticks)
-    return (Pose2D(x, y, theta), low,
-            np.array(points, dtype=float).reshape(-1, 2), bounds)
+    points = np.array(points, dtype=float).reshape(-1, 2)
+    return pose, low, ObstacleBelief(points, 0), bounds
 
 
 def full_clearance(pose, low, points, bounds):
@@ -97,34 +112,40 @@ class TestDiscApproval:
     @settings(max_examples=1500, deadline=None)
     @given(case=near_threshold_cases())
     def test_fast_approval_is_a_full_approval(self, case):
-        pose, low, points, bounds = case
-        v = safety_check(low, pose, ObstacleBelief(points, 0), bounds, ROBOT,
-                         PARAMS, 0, PHYSICS_DT)
+        pose, low, belief, bounds = case
+        v = safety_check(low, pose, belief, bounds, ROBOT, PARAMS, 0,
+                         PHYSICS_DT)
         if v.bound != "disc":
             return
         assert v.safe and v.reason is VerdictReason.OK
         assert v.predicted_min_clearance >= PARAMS.d_min
-        assert full_clearance(pose, low, points, bounds) >= \
+        assert full_clearance(pose, low, belief.points, bounds) >= \
             v.predicted_min_clearance
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["x", "y", "theta"])
     @pytest.mark.parametrize("wheels", [(0.0, 0.0), (0.2, -0.2), (0.3, 0.3),
                                         (0.1, 0.4)])
-    @pytest.mark.parametrize("n_points", [0, 3])
+    @pytest.mark.parametrize("belief", ["none", "points", "scan"])
     def test_non_finite_pose_takes_the_full_path(self, bad, field, wheels,
-                                                 n_points):
-        pose = {"x": 0.0, "y": 0.0, "theta": 0.0, field: bad}
-        points = np.array([(3.0, 0.5), (-2.5, 1.0), (0.0, -3.0)][:n_points],
-                          dtype=float).reshape(-1, 2)
-        assert _disc_verdict(Pose2D(**pose), *wheels, PHYSICS_DT, points,
+                                                 belief):
+        pose = Pose2D(**{"x": 0.0, "y": 0.0, "theta": 0.0, field: bad})
+        points = np.array([(3.0, 0.5), (-2.5, 1.0), (0.0, -3.0)])
+        if belief == "none":
+            points = points[:0]
+        # "scan": built at this very pose, so the check reads its reach
+        origin = (pose.x, pose.y) if belief == "scan" else None
+        assert _disc_verdict(pose, *wheels, PHYSICS_DT,
+                             ObstacleBelief(points, 0, origin, 3.0),
                              Rect(-4.0, -4.0, 4.0, 4.0), ROBOT,
                              PARAMS) is None
 
-    def test_nan_belief_point_takes_the_full_path(self):
+    @pytest.mark.parametrize("origin", [None, (0.0, 0.0)])
+    def test_nan_belief_takes_the_full_path(self, origin):
         points = np.array([(3.0, 0.0), (math.nan, 1.0)])
+        belief = ObstacleBelief(points, 0, origin, math.nan)
         assert _disc_verdict(Pose2D(0.0, 0.0, 0.0), 0.1, 0.1, PHYSICS_DT,
-                             points, Rect(-4.0, -4.0, 4.0, 4.0), ROBOT,
+                             belief, Rect(-4.0, -4.0, 4.0, 4.0), ROBOT,
                              PARAMS) is None
 
     def test_far_motion_reports_its_bound(self):
