@@ -321,9 +321,9 @@ def _disc_verdict(
     is nearer a belief point, or the bounds, than the pose's own distance
     minus L. From the belief's own origin that distance is its reach.
     ``eps`` covers rounding in the samples and in the distances
-    (``docs/travel_bound.md``). The verdict reports that
-    certified lower bound, which is at most the full check's clearance.
-    A non-finite pose makes ``eps`` NaN or inf, so it never approves.
+    (``docs/travel_bound.md``). The verdict reports that certified lower
+    bound, which is at most the full check's clearance. A non-finite pose
+    makes ``eps`` NaN or inf, so it never approves.
     """
     x, y = pose.x, pose.y
     dt_pred = params.dt_pred
