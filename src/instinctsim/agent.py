@@ -99,8 +99,9 @@ def self_reflection(
     """Fold terminal feedback into the notes.
 
     A refusal for a predicted obstacle blocks the commanded bearing's sector
-    until an expiry; any refusal counts toward the consecutive-failure cap;
-    a completion wipes the slate.
+    until an expiry; any refusal counts toward the consecutive-failure cap,
+    including one for a command already given up as lost, which blocks no
+    sector since its route is forgotten; a completion wipes the slate.
     """
     for fb in feedback:
         if fb.status is FeedbackStatus.COMPLETED:
@@ -236,7 +237,7 @@ def _adversarial_command(
 _COMMAND_KEYS = {HighKind.MOVE_TO: {"x", "y", "speed"},
                  HighKind.FOLLOW_PATH: {"waypoints", "speed"},
                  HighKind.ROTATE_TO: {"theta"},
-                 HighKind.STOP: set(), HighKind.QUERY_STATUS: set()}
+                 HighKind.STOP: set()}
 _ANY_COMMAND_KEY = set().union(*_COMMAND_KEYS.values())
 
 
@@ -320,7 +321,6 @@ JSON array of command objects only. Supported kinds:
   {"kind": "ROTATE_TO", "theta": <rad>}
   {"kind": "FOLLOW_PATH", "waypoints": [[x, y], ...], "speed": <optional m/s>}
   {"kind": "STOP"}
-  {"kind": "QUERY_STATUS"}
 Speeds must lie in (0, %s]. Unsafe commands will be refused by the robot.
 """
 
@@ -413,7 +413,7 @@ class DecisionAgent:
         self.tasks: list[Task] = []
         self.notes = ReflectionNote()
         self.summary: ScanSummary | None = None
-        self.sent_commands: dict[int, HighCommand] = {}  # until terminal
+        self.sent_commands: dict[int, HighCommand] = {}  # until terminal/lost
         self.in_flight: int | None = None
         self._heard_tick = 0  # in-flight send tick or latest feedback tick
         self._cmd_id = 0
@@ -465,6 +465,7 @@ class DecisionAgent:
                 return
             self.recorder.emit("DECISION", "command_lost",
                                {"command_id": self.in_flight})
+            self.sent_commands.pop(self.in_flight, None)
             self.in_flight = None
         commands = self._plan(task, now)
         # (5) transmit
@@ -477,9 +478,8 @@ class DecisionAgent:
                 })
             self.sent_commands[cmd.id] = cmd
             self.recorder.emit("DECISION", "command_sent", cmd.to_payload())
-            if cmd.kind is not HighKind.QUERY_STATUS:
-                self.in_flight = cmd.id
-                self._heard_tick = now
+            self.in_flight = cmd.id
+            self._heard_tick = now
             self.command_channel.transmit(cmd, now)
 
     def _plan(self, task: Task, now: int

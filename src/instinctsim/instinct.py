@@ -6,7 +6,8 @@ roaming, then translate at most one active high command into a one-tick
 device primitive that must pass the predictive safety check before the motor
 sees it. Feedback and a summarized sensor view go back to the agent every
 tick. The layer never blocks on the agent and keeps working if the agent is
-gone entirely.
+gone entirely. The safe-mode latch is the controller's own state
+(``InstinctController.mode``); the device never reads it.
 
 Most motions are approved without predicting their trajectory. A travel
 bound L caps how far any predicted sample can lie from the pose
@@ -19,12 +20,12 @@ reason are those of the full check.
 
 Perception is computed once per scan: the belief points, the front minimum
 and the eight-sector digest are derived when a scan arrives, and every
-summary sent in that tick (roaming, ACQUIRE_SCAN, the end-of-tick report)
-reuses the digest with the device's current pose, load and mode. While the
-robot stands still a noise-free device returns scans sharing one read-only
-ranges array (see ``DeviceSim``); such a scan reuses the previous belief
-points, front minimum and digest, and only the belief's ``built_tick``
-advances. Shared arrays are read-only.
+summary sent in that tick (roaming, the end-of-tick report) reuses the
+digest with the device's current pose and load and the layer's own mode.
+While the robot stands still a noise-free device returns scans sharing one
+read-only ranges array (see ``DeviceSim``); such a scan reuses the previous
+belief points, front minimum and digest, and only the belief's
+``built_tick`` advances. Shared arrays are read-only.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
@@ -61,6 +62,7 @@ from .messages import (
     LowCommand,
     LowKind,
     MalformedCommandError,
+    Mode,
     N_SECTORS,
     SafetyVerdict,
     ScanSummary,
@@ -68,7 +70,7 @@ from .messages import (
     sector_angle,
 )
 from .trace import TraceRecorder
-from .world import DeviceSim, LidarScan, Mode, Pose2D, Rect, RobotState, wrap_angle
+from .world import DeviceSim, LidarScan, Pose2D, Rect, RobotState, wrap_angle
 
 
 class _BeamGeometry(NamedTuple):
@@ -96,7 +98,7 @@ def _beam_geometry(n_beams: int) -> _BeamGeometry:
                          tuple(np.flatnonzero(counts == 0).tolist()), front)
 
 
-def summarize(scan: LidarScan, state: RobotState) -> ScanSummary:
+def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
     """Reduce a scan to the eight-sector digest the agent plans from.
 
     Sector 0 is centered on the heading; a sector with no beams reports
@@ -116,7 +118,7 @@ def summarize(scan: LidarScan, state: RobotState) -> ScanSummary:
         nearest_range=float(ranges[nearest_idx]),
         pose=state.pose,
         load=state.load,
-        mode=state.mode,
+        mode=mode,
         tick=scan.tick,
     )
 
@@ -376,9 +378,9 @@ def safety_check(
 ) -> SafetyVerdict:
     """Predictive vetting of a device primitive against the belief.
 
-    STOP_ALL and ACQUIRE_SCAN introduce no motion and are always safe (their
-    clearance reports +inf, keeping the safe <=> clearance >= d_min pairing
-    intact). SET_WHEELS passes when its travel bound certifies d_min of body
+    STOP_ALL introduces no motion and is always safe (its clearance reports
+    +inf, keeping the safe <=> clearance >= d_min pairing intact).
+    SET_WHEELS passes when its travel bound certifies d_min of body
     clearance (``_disc_verdict``); otherwise it is forward-simulated for its
     duration plus worst-case braking plus a 0.1 s margin, and passes only
     when every sample keeps at least d_min of body clearance. A stale or
@@ -450,15 +452,13 @@ def convert(
     """Closed-loop per-tick translation of one high command.
 
     Returns (intent, done, next_waypoint_idx) where intent is a
-    (LowKind, v_left, v_right) primitive (wheel speeds 0.0 for STOP_ALL and
-    ACQUIRE_SCAN) or None. Called once per tick until done, so each emitted
-    primitive covers a single tick and the safety horizon stays tight.
+    (LowKind, v_left, v_right) primitive (wheel speeds 0.0 for STOP_ALL) or
+    None. Called once per tick until done, so each emitted primitive covers
+    a single tick and the safety horizon stays tight.
     """
     kind = cmd.kind
     if kind is HighKind.STOP:
         return (LowKind.STOP_ALL, 0.0, 0.0), True, waypoint_idx
-    if kind is HighKind.QUERY_STATUS:
-        return (LowKind.ACQUIRE_SCAN, 0.0, 0.0), True, waypoint_idx
     if kind is HighKind.ROTATE_TO:
         err = wrap_angle(cmd.theta - pose.theta)
         if abs(err) <= params.eps_heading:
@@ -544,6 +544,7 @@ class InstinctController:
         self.belief: ObstacleBelief | None = None
         self.active: _ActiveCommand | None = None
         self.queue: deque[HighCommand] = deque()
+        self.mode = Mode.NORMAL  # the safe-mode latch
         self.overload_ticks = 0
         self.safe_streak = 0
         self._low_id = 0
@@ -609,8 +610,8 @@ class InstinctController:
         Idempotent: re-entry on consecutive unsafe ticks only resets the
         exit hold timer.
         """
-        if self.device.state.mode is not Mode.SAFE:
-            self.device.set_mode(Mode.SAFE)
+        if self.mode is not Mode.SAFE:
+            self.mode = Mode.SAFE
             self._emit("INSTINCT", "safe_mode_entered", {"reason": reason})
         self.safe_streak = 0
         self.device.stop()
@@ -652,7 +653,7 @@ class InstinctController:
         self._send_feedback(Feedback(low.parent_id, FeedbackStatus.REFUSED,
                                      verdict.reason.value, now, verdict))
 
-    def _execute(self, low: LowCommand, now: int) -> None:
+    def _execute(self, low: LowCommand) -> None:
         parent = "SURVIVAL" if low.parent_id is None else low.parent_id
         if low.kind is LowKind.SET_WHEELS:
             self.device.set_wheel_command(low.v_left, low.v_right)
@@ -661,14 +662,10 @@ class InstinctController:
                 "v_left": low.v_left, "v_right": low.v_right,
                 "duration_ticks": low.duration_ticks,
             })
-        elif low.kind is LowKind.STOP_ALL:
+        else:  # STOP_ALL
             self.device.stop()
             self._emit("DEVICE", "exec_stop", {"low_id": low.id,
                                                "parent_id": parent})
-        else:  # ACQUIRE_SCAN: serve from this tick's sweep, summary now
-            self._emit("DEVICE", "exec_scan", {"low_id": low.id,
-                                               "parent_id": parent})
-            self.data_channel.transmit(self._summary(), now)
 
     # -- the tick ----------------------------------------------------------
 
@@ -688,7 +685,7 @@ class InstinctController:
         # (2) device status
         safe, reason = self.device_status(state, front_min)
         self._emit("INSTINCT", "status", {
-            "safe": safe, "reason": reason, "mode": state.mode.value,
+            "safe": safe, "reason": reason, "mode": self.mode.value,
             "front_min": front_min,
         })
 
@@ -700,11 +697,11 @@ class InstinctController:
             self._send_data(now)
             return
 
-        if state.mode is Mode.SAFE:
+        if self.mode is Mode.SAFE:
             # holding period: stay stopped until safe long enough
             self.safe_streak += 1
             if self.safe_streak >= self.params.safe_hold_ticks:
-                self.device.set_mode(Mode.NORMAL)
+                self.mode = Mode.NORMAL
                 self._emit("INSTINCT", "safe_mode_exited", {})
             else:
                 self.device.stop()
@@ -754,13 +751,13 @@ class InstinctController:
         belief.points.flags.writeable = False  # shared by later beliefs
         self.belief = belief
         p = _Percept(scan.ranges, belief, front_min_range(scan),
-                     summarize(scan, state))
+                     summarize(scan, state, self.mode))
         self._percept = p
         return p.front_min
 
     def _summary(self) -> ScanSummary:
-        """The scan's sector digest with the device's current pose, load and
-        mode (safe-mode handling can change the mode mid-tick)."""
+        """The scan's sector digest with the device's current pose and load
+        and the latch's mode (safe-mode handling can change it mid-tick)."""
         digest = self._percept.digest
         state = self.device.state
         return ScanSummary(
@@ -769,7 +766,7 @@ class InstinctController:
             nearest_range=digest.nearest_range,
             pose=state.pose,
             load=state.load,
-            mode=state.mode,
+            mode=self.mode,
             tick=self._scan.tick,
         )
 
@@ -783,7 +780,7 @@ class InstinctController:
             self._emit("INSTINCT", "roam", {"low_id": low.id,
                                             "v_left": low.v_left,
                                             "v_right": low.v_right})
-            self._execute(low, now)
+            self._execute(low)
             return True
         self._emit("INSTINCT", "roam_refused",
                    {"low_id": low.id, "reason": verdict.reason.value})
@@ -812,7 +809,7 @@ class InstinctController:
             self.refuse(low, verdict, now)
             self.active = None
             return False
-        self._execute(low, now)
+        self._execute(low)
         if done:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.COMPLETED,
                                          "DONE", now))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .world import Mode, Pose2D, wrap_angle
+from .world import Pose2D, wrap_angle
 
 N_SECTORS = 8  # sectors of a ScanSummary; sector 0 is centered on the heading
 
@@ -50,13 +50,11 @@ class HighKind(Enum):
     ROTATE_TO = "ROTATE_TO"
     FOLLOW_PATH = "FOLLOW_PATH"
     STOP = "STOP"
-    QUERY_STATUS = "QUERY_STATUS"
 
 
 class LowKind(Enum):
     SET_WHEELS = "SET_WHEELS"
     STOP_ALL = "STOP_ALL"
-    ACQUIRE_SCAN = "ACQUIRE_SCAN"
 
 
 class VerdictReason(Enum):
@@ -194,6 +192,13 @@ class Feedback:
         if self.verdict is not None:
             out["verdict"] = self.verdict.to_payload()
         return out
+
+
+class Mode(Enum):
+    """The instinct layer's safe-mode latch, as each summary reports it."""
+
+    NORMAL = "NORMAL"
+    SAFE = "SAFE"
 
 
 @dataclass(frozen=True)

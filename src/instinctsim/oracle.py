@@ -70,10 +70,8 @@ def gen_scenario(
     sweep = scan(world, start, lidar.beams, lidar.max_range, tick=0)
     belief = ObstacleBelief.from_scan(sweep, start.x, start.y)
     roll = rng.random()
-    if roll < 0.05:
+    if roll < 0.10:
         command = LowCommand(1, None, LowKind.STOP_ALL)
-    elif roll < 0.10:
-        command = LowCommand(1, None, LowKind.ACQUIRE_SCAN)
     elif roll < 0.55 and belief.points.shape[0]:
         # aim a forward arc near the closest return so the unsafe region is
         # actually exercised, not just sampled by luck

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 _SURVIVAL_KINDS = {"status", "safe_mode_entered", "safe_mode_exited",
                    "governor", "roam", "roam_refused"}
 _COMMAND_KINDS = {"command_received", "command_malformed", "verdict", "refusal"}
-_EXEC_KINDS = {"exec_wheels", "exec_stop", "exec_scan"}
+_EXEC_KINDS = {"exec_wheels", "exec_stop"}
 
 
 class TraceEvent(NamedTuple):

@@ -12,7 +12,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -33,11 +32,6 @@ def wrap_angle(angle: float) -> float:
     if a <= 0.0:
         a += TWO_PI
     return a - math.pi
-
-
-class Mode(Enum):
-    NORMAL = "NORMAL"
-    SAFE = "SAFE"
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,6 @@ class RobotState:
     v_left: float = 0.0
     v_right: float = 0.0
     load: float = 0.0       # fraction of the acceleration budget used, [0, 1]
-    mode: Mode = Mode.NORMAL
     collided: bool = False
 
 
@@ -380,7 +373,6 @@ def step_world(
         v_left=v_left,
         v_right=v_right,
         load=load,
-        mode=state.mode,
         collided=collided,
     ), gap
 
@@ -450,9 +442,6 @@ class DeviceSim:
             sweep.ranges.flags.writeable = False
             self._sweep = (pose, sweep)
         return sweep
-
-    def set_mode(self, mode: Mode) -> None:
-        self.state = replace(self.state, mode=mode)
 
     def ground_truth_clearance(self) -> float:
         pose, gap = self._clearance

@@ -27,7 +27,7 @@ from instinctsim.agent import (
     self_reflection,
 )
 from instinctsim.bus import Channel
-from instinctsim.config import AgentParams, RobotParams
+from instinctsim.config import AgentParams, ChannelParams, RobotParams
 from instinctsim.messages import (
     Feedback,
     FeedbackStatus,
@@ -36,13 +36,14 @@ from instinctsim.messages import (
     HighCommand,
     HighKind,
     MalformedCommandError,
+    Mode,
     SafetyVerdict,
     ScanSummary,
     VerdictReason,
 )
 from instinctsim.scenario import Scenario, TaskSpec
 from instinctsim.trace import TraceRecorder
-from instinctsim.world import Mode, Pose2D, Rect
+from instinctsim.world import Pose2D, Rect
 
 ROBOT = RobotParams()
 BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
@@ -277,9 +278,13 @@ class TestParseLlmCommands:
         assert cmds[0].route == ((1.0, 2.0),)
         assert cmds[0].issued_tick == 3
 
-    def test_unknown_kind_rejects_batch(self):
-        text = '[{"kind": "FLY_TO", "x": 1.0, "y": 2.0}]'
-        with pytest.raises(MalformedCommandError):
+    @pytest.mark.parametrize("text, kind", [
+        ('[{"kind": "FLY_TO", "x": 1.0, "y": 2.0}]', "FLY_TO"),
+        ('[{"kind": "STOP"}, {"kind": "QUERY_STATUS"}]', "QUERY_STATUS"),
+    ])
+    def test_unknown_kind_rejects_batch(self, text, kind):
+        with pytest.raises(MalformedCommandError,
+                           match=f"unknown command kind: '{kind}'"):
             parse_llm_commands(text, 0.5, self.next_id(), now=0)
 
     def test_out_of_range_speed_rejects_batch(self):
@@ -490,17 +495,23 @@ class TestAgentTick:
         assert stack.agent.tasks[0].state is TaskState.ACTIVE
         assert len(stack.command.poll(50)) == 1  # replanned toward the goal
 
-    def test_null_llm_content_is_a_rejected_plan(self, monkeypatch):
-        class NullContent:
+    @staticmethod
+    def _fixed_llm_reply(monkeypatch, content):
+        """Route the run's LLM backend to a stub that always replies
+        ``content``; nothing goes over the network."""
+        class Reply:
             def raise_for_status(self):
                 pass
 
             def json(self):
-                return {"choices": [{"message": {"content": None}}]}
+                return {"choices": [{"message": {"content": content}}]}
 
         monkeypatch.setattr(runner, "LlmBackend", lambda model: LlmBackend(
             model=model, url="http://example/llm",
-            post=lambda *args, **kwargs: NullContent()))
+            post=lambda *args, **kwargs: Reply()))
+
+    def test_null_llm_content_is_a_rejected_plan(self, monkeypatch):
+        self._fixed_llm_reply(monkeypatch, None)
         sc = Scenario(ticks=200, agent=AgentParams(backend="llm"),
                       tasks=(TaskSpec(0, Goal(GoalKind.GOTO,
                                               ((1.0, 1.0),))),))
@@ -508,10 +519,33 @@ class TestAgentTick:
         assert "plan_rejected" in kinds
         assert "agent_crashed" not in kinds
 
-    def test_sent_commands_forgotten_once_terminal(self):
-        # a rule-planned patrol around a 0.5 m square, run for 6,000 ticks
+    def test_status_query_flood_is_a_rejected_plan(self, monkeypatch):
+        # 500 status queries per wake-up: an unknown kind, so every batch
+        # is rejected whole and nothing reaches the instinct queue
+        self._fixed_llm_reply(monkeypatch,
+                              json.dumps([{"kind": "QUERY_STATUS"}] * 500))
+        sc = Scenario(ticks=300, agent=AgentParams(backend="llm"),
+                      tasks=(TaskSpec(0, Goal(GoalKind.GOTO,
+                                              ((1.0, 1.0),))),))
+        kinds = []
+        rt = runner.build_runtime(sc, sinks=[lambda e: kinds.append(e.kind)])
+        for now in range(sc.ticks):
+            rt.step(now)
+            if now % sc.agent.period_ticks == 0:
+                rt.agent_step(now)
+            assert not rt.instinct.queue
+        assert "plan_rejected" in kinds
+        assert "command_sent" not in kinds
+        assert "agent_crashed" not in kinds
+
+    @pytest.mark.parametrize("drop", [0.0, 0.2])
+    def test_sent_commands_forgotten_once_terminal(self, drop):
+        # a rule-planned patrol around a 0.5 m square, run for 6,000 ticks;
+        # on lossy channels a command given up as lost is forgotten too
         route = ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 0.0)) * 20
         sc = Scenario(ticks=6000,
+                      channels=ChannelParams(command_drop=drop,
+                                             feedback_drop=drop),
                       tasks=(TaskSpec(0, Goal(GoalKind.PATROL, route)),))
         sent = []
         rt = runner.build_runtime(sc, store_trace=False, sinks=[

@@ -25,6 +25,7 @@ from instinctsim.messages import (
     HighKind,
     LowCommand,
     LowKind,
+    Mode,
     SafetyVerdict,
     VerdictReason,
     sector_index,
@@ -33,7 +34,6 @@ from instinctsim.oracle import ScenarioCase, oracle_safety
 from instinctsim.world import (
     Circle,
     LidarScan,
-    Mode,
     Pose2D,
     Rect,
     RobotState,
@@ -61,14 +61,14 @@ def idle_state(pose=Pose2D(0, 0, 0), **kw):
 
 class TestSummarize:
     def test_all_capped(self):
-        s = summarize(make_scan([5.0] * 36), idle_state())
+        s = summarize(make_scan([5.0] * 36), idle_state(), Mode.NORMAL)
         assert s.sector_min == tuple([5.0] * 8)
         assert s.nearest_range == 5.0
 
     def test_single_front_beam(self):
         ranges = [5.0] * 36
         ranges[0] = 1.5
-        s = summarize(make_scan(ranges), idle_state())
+        s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL)
         assert s.sector_min[0] == 1.5
         assert s.sector_min[1:] == tuple([5.0] * 7)
         assert (s.nearest_bearing, s.nearest_range) == (0.0, 1.5)
@@ -77,7 +77,7 @@ class TestSummarize:
         rng = random.Random(17)
         for _ in range(25):
             ranges = [rng.uniform(0.2, 5.0) for _ in range(36)]
-            s = summarize(make_scan(ranges), idle_state())
+            s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL)
             # brute force: bucket each beam by its wrapped relative bearing
             expected = [5.0] * 8
             for i, r in enumerate(ranges):
@@ -90,10 +90,10 @@ class TestSummarize:
 
     def test_carries_robot_state(self):
         state = idle_state(pose=Pose2D(1, 2, 0.5), load=0.3)
-        s = summarize(make_scan([5.0] * 36, tick=7), state)
+        s = summarize(make_scan([5.0] * 36, tick=7), state, Mode.SAFE)
         assert s.pose == state.pose
         assert s.load == 0.3
-        assert s.mode is Mode.NORMAL
+        assert s.mode is Mode.SAFE
         assert s.tick == 7
 
 
@@ -217,7 +217,7 @@ class TestSafeMode:
         assert not [e for e in events if e.kind.startswith("exec_")]
         fb = [e for e in events if e.kind == "feedback"]
         assert any(e.payload["status"] == "SAFE_MODE" for e in fb)
-        assert stack.device.state.mode is Mode.SAFE
+        assert stack.controller.mode is Mode.SAFE
         # data message still goes out on the unsafe tick
         assert stack.data.poll(0)
 
@@ -226,11 +226,10 @@ class TestSafeMode:
         stack.controller.tick(0)
         mode_events = [e for e in stack.recorder.events
                        if e.kind == "safe_mode_entered"]
-        state_before = stack.device.state
         stack.controller.tick(1)
         assert [e for e in stack.recorder.events
                 if e.kind == "safe_mode_entered"] == mode_events
-        assert stack.device.state.mode is state_before.mode
+        assert stack.controller.mode is Mode.SAFE
 
     def test_pending_commands_each_get_terminal_feedback(self):
         stack = self.make_unsafe_stack()
@@ -248,15 +247,15 @@ class TestSafeMode:
     def test_hold_then_exit_at_tick_201(self):
         stack = self.make_unsafe_stack()
         stack.controller.tick(0)
-        assert stack.device.state.mode is Mode.SAFE
+        assert stack.controller.mode is Mode.SAFE
         # teleport clear of the obstacle: status is safe from tick 1 on
         stack.device.state = replace(stack.device.state,
                                      pose=Pose2D(-3.0, -3.0, 0.0))
         for t in range(1, 200):
             stack.controller.tick(t)
-            assert stack.device.state.mode is Mode.SAFE, f"tick {t}"
+            assert stack.controller.mode is Mode.SAFE, f"tick {t}"
         stack.controller.tick(200)
-        assert stack.device.state.mode is Mode.NORMAL
+        assert stack.controller.mode is Mode.NORMAL
         exits = [e for e in stack.recorder.events
                  if e.kind == "safe_mode_exited"]
         assert [e.tick for e in exits] == [200]
@@ -286,7 +285,7 @@ class TestSafeMode:
         stack.command.transmit(
             HighCommand(5, HighKind.MOVE_TO, 1, ((math.nan, 0.0),)), 1)
         stack.controller.tick(1)
-        assert stack.device.state.mode is Mode.SAFE
+        assert stack.controller.mode is Mode.SAFE
         events = [e for e in stack.recorder.events if e.tick == 1]
         assert [e.payload["id"] for e in events
                 if e.kind == "command_malformed"] == [5]
@@ -334,13 +333,10 @@ class TestConvert:
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert intent is None and done
 
-    def test_stop_and_query(self):
+    def test_stop(self):
         intent, done, _ = convert(HighCommand(1, HighKind.STOP, 0),
                                   Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert intent == (LowKind.STOP_ALL, 0.0, 0.0) and done
-        intent, done, _ = convert(HighCommand(1, HighKind.QUERY_STATUS, 0),
-                                  Pose2D(0, 0, 0), ROBOT, PARAMS)
-        assert intent == (LowKind.ACQUIRE_SCAN, 0.0, 0.0) and done
 
     def test_follow_path_advances_waypoints(self):
         cmd = HighCommand(1, HighKind.FOLLOW_PATH, 0,
@@ -521,13 +517,6 @@ class TestTickContract:
         assert len(stack.data.poll(0)) == 1
         assert not [e for e in stack.recorder.events
                     if e.kind == "exec_wheels"]
-
-    def test_query_status_sends_extra_summary(self, stack):
-        stack.command.transmit(HighCommand(1, HighKind.QUERY_STATUS, 0), 0)
-        stack.controller.tick(0)
-        assert len(stack.data.poll(0)) == 2  # forced summary + per-tick one
-        fb = [f.status for f in stack.feedback.poll(0)]
-        assert FeedbackStatus.COMPLETED in fb
 
     def test_fifo_one_active_command_at_a_time(self, stack):
         stack.command.transmit(

@@ -20,7 +20,7 @@ from conftest import make_stack
 from instinctsim import instinct
 from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import _trajectory_clearances, predict_trajectory
-from instinctsim.messages import HighCommand, HighKind, N_SECTORS, ScanSummary
+from instinctsim.messages import Mode, N_SECTORS, ScanSummary
 from instinctsim.scenario import random_scenario
 from instinctsim.world import (
     RAY_T_EPS,
@@ -102,7 +102,7 @@ def _reference_beam_geometry(n_beams):
     return rel, sectors, np.abs(rel) <= math.pi / 4.0 + 1e-12
 
 
-def reference_summarize(scan_, state):
+def reference_summarize(scan_, state, mode):
     """Eight fancy-index minima and ``np.argmin``."""
     rel, sectors, _ = _reference_beam_geometry(scan_.n_beams)
     mins = tuple(
@@ -114,7 +114,7 @@ def reference_summarize(scan_, state):
         sector_min=mins,
         nearest_bearing=float(rel[nearest_idx]),
         nearest_range=float(scan_.ranges[nearest_idx]),
-        pose=state.pose, load=state.load, mode=state.mode, tick=scan_.tick,
+        pose=state.pose, load=state.load, mode=mode, tick=scan_.tick,
     )
 
 
@@ -258,8 +258,8 @@ class TestScanDigest:
     STATE = RobotState(pose=Pose2D(0.7, -1.2, 0.3), load=0.4)
 
     def _assert_matches_reference(self, scan_):
-        got = instinct.summarize(scan_, self.STATE)
-        assert got == reference_summarize(scan_, self.STATE)
+        got = instinct.summarize(scan_, self.STATE, Mode.SAFE)
+        assert got == reference_summarize(scan_, self.STATE, Mode.SAFE)
         assert all(type(m) is float for m in got.sector_min)
         assert type(got.nearest_bearing) is float
         assert instinct.front_min_range(scan_) == \
@@ -410,9 +410,9 @@ def _count_summaries(monkeypatch):
     ticks = []
     original = instinct.summarize
 
-    def counting(scan_, state):
+    def counting(scan_, state, mode):
         ticks.append(scan_.tick)
-        return original(scan_, state)
+        return original(scan_, state, mode)
 
     monkeypatch.setattr(instinct, "summarize", counting)
     return ticks
@@ -437,20 +437,15 @@ class TestPerScanPerception:
         calls = _count_summaries(monkeypatch)
         stack = make_stack(world=self.WORLD,
                            params=InstinctParams(roaming=True))
-        sent = []
         for now in range(400):
-            if now % 50 == 10:  # ACQUIRE_SCAN path: a second summary this tick
-                stack.command.transmit(
-                    HighCommand(now, HighKind.QUERY_STATUS, now), now)
             if not 200 <= now < 240:  # no physics: the pose holds, sweeps reused
                 stack.device.step(PHYSICS_DT)
             stack.controller.tick(now)
             fresh = instinct.summarize(
                 scan(stack.world, stack.device.state.pose, 36, 5.0, tick=now),
-                stack.device.state)
+                stack.device.state, stack.controller.mode)
             calls.pop()  # the reference summary above
-            sent = stack.data.poll(now)
-            assert sent and all(s == fresh for s in sent)
+            assert stack.data.poll(now) == [fresh]
         assert len(calls) == len(set(calls))
         assert 200 + 1 <= len(calls) <= 400 - 39
 
@@ -463,7 +458,7 @@ class TestPerScanPerception:
         for now in range(3):
             stack.controller.tick(now)
             (summary,) = stack.data.poll(now)
-            assert summary.mode is stack.device.state.mode
+            assert summary.mode is stack.controller.mode
             assert summary.tick == now
         assert summary.mode.value == "SAFE"
         assert calls == [0]  # the robot never moved: one sweep, one digest

@@ -18,7 +18,6 @@ from instinctsim.world import (
     Circle,
     DeviceSim,
     LidarParams,
-    Mode,
     Pose2D,
     Rect,
     RobotState,
@@ -347,11 +346,9 @@ class TestDeviceSim:
             dev.step(0.01)
         assert dev.state.v_left == pytest.approx(0.0)
 
-    def test_scan_and_mode(self):
+    def test_acquire_scan(self):
         w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.0, 0.5),))
         dev = DeviceSim(w, RobotState(pose=Pose2D(0, 0, 0)), RobotParams(),
                         LidarParams())
         s = dev.acquire_scan(tick=4)
         assert s.tick == 4 and s.ranges[0] == pytest.approx(1.5)
-        dev.set_mode(Mode.SAFE)
-        assert dev.state.mode is Mode.SAFE
