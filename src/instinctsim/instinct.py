@@ -4,9 +4,10 @@ Every tick runs the same fixed sequence: acquire sensors, judge device
 status, handle the unsafe case (safe mode) or run the survival governor and
 roaming, then translate at most one active high command into a one-tick
 device primitive that must pass the predictive safety check before the motor
-sees it. Feedback and a summarized sensor view go back to the agent every
-tick. The layer never blocks on the agent and keeps working if the agent is
-gone entirely. The safe-mode latch is the controller's own state
+sees it. Every primitive so vetted, a roaming arc or a command's step, leaves
+exactly one ``verdict`` event. Feedback and a summarized sensor view go back
+to the agent every tick. The layer never blocks on the agent and keeps
+working if the agent is gone entirely. The safe-mode latch is the controller's own state
 (``InstinctController.mode``); the device never reads it.
 
 Most motions are approved without predicting their trajectory. A travel
@@ -508,9 +509,12 @@ class _Percept(NamedTuple):
     """What the controller derived from one distinct ranges array."""
 
     ranges: np.ndarray
+    pose: Pose2D  # where the scan was cast
     belief: ObstacleBelief  # its points read-only
     front_min: float
-    digest: ScanSummary  # sector minima and nearest return of ``ranges``
+    sector_min: tuple[float, ...]  # the digest of ``ranges``
+    nearest_bearing: float
+    nearest_range: float
 
 
 @dataclass
@@ -548,7 +552,6 @@ class InstinctController:
         self.overload_ticks = 0
         self.safe_streak = 0
         self._low_id = 0
-        self._scan: LidarScan | None = None
         self._percept: _Percept | None = None
 
     # -- helpers ----------------------------------------------------------
@@ -584,12 +587,6 @@ class InstinctController:
         if front_min < p.d_stop:
             return 0.0
         return (front_min - p.d_stop) / (p.d_slow - p.d_stop)
-
-    def safety_check(self, low: LowCommand, now: int) -> SafetyVerdict:
-        return safety_check(
-            low, self.device.state.pose, self.belief, self.device.world.bounds,
-            self.device.robot, self.params, now, self.physics_dt,
-        )
 
     # -- safe mode ---------------------------------------------------------
 
@@ -641,20 +638,22 @@ class InstinctController:
                 status, reason = FeedbackStatus.ACCEPTED, "QUEUED"
             self._send_feedback(Feedback(cmd.id, status, reason, now))
 
-    def refuse(self, low: LowCommand, verdict: SafetyVerdict, now: int) -> None:
-        """Reject an unsafe primitive: nothing reaches the device, the parent
-        command terminates, and the verdict rides along in the feedback."""
-        self._emit("INSTINCT", "refusal", {
-            "low_id": low.id,
-            "parent_id": low.parent_id,
-            "reason": verdict.reason.value,
-            "predicted_min_clearance": verdict.predicted_min_clearance,
-        })
-        self._send_feedback(Feedback(low.parent_id, FeedbackStatus.REFUSED,
-                                     verdict.reason.value, now, verdict))
-
-    def _execute(self, low: LowCommand) -> None:
+    def _vet(self, low: LowCommand, now: int) -> SafetyVerdict:
+        """Check one primitive, trace its verdict, and execute it only if
+        safe; an unsafe one never reaches the device."""
+        device = self.device
+        verdict = safety_check(low, device.state.pose, self.belief,
+                               device.world.bounds, device.robot, self.params,
+                               now, self.physics_dt)
         parent = "SURVIVAL" if low.parent_id is None else low.parent_id
+        self._emit("INSTINCT", "verdict", {"low_id": low.id,
+                                           "parent_id": parent,
+                                           **verdict.to_payload()})
+        if verdict.safe:
+            self._execute(low, parent)
+        return verdict
+
+    def _execute(self, low: LowCommand, parent: int | str) -> None:
         if low.kind is LowKind.SET_WHEELS:
             self.device.set_wheel_command(low.v_left, low.v_right)
             self._emit("DEVICE", "exec_wheels", {
@@ -674,7 +673,6 @@ class InstinctController:
         self.recorder.begin_tick(now)  # no-op when the runner already did
         # (1) acquire scan + state; rebuild the per-scan belief
         scan = self.device.acquire_scan(now)
-        self._scan = scan
         state = self.device.state
         front_min = self._perceive(scan, state)
         if state.load >= self.params.overload_threshold:
@@ -723,7 +721,7 @@ class InstinctController:
         if self.active is None and self.queue:
             self.active = _ActiveCommand(self.queue.popleft())
 
-        # (6) convert + safety check + execute or refuse
+        # (6) convert + vet: execute if safe, else refuse the command
         if self.active is not None:
             executed_motion = self._drive_active(state, scale, now) or executed_motion
 
@@ -743,48 +741,41 @@ class InstinctController:
         """
         p = self._percept
         if (p is not None and p.ranges is scan.ranges
-                and p.digest.pose == state.pose):
+                and p.pose == state.pose):
             b = p.belief
             self.belief = ObstacleBelief(b.points, scan.tick, b.origin, b.reach)
             return p.front_min
         belief = ObstacleBelief.from_scan(scan, state.pose.x, state.pose.y)
         belief.points.flags.writeable = False  # shared by later beliefs
         self.belief = belief
-        p = _Percept(scan.ranges, belief, front_min_range(scan),
-                     summarize(scan, state, self.mode))
+        digest = summarize(scan, state, self.mode)
+        p = _Percept(scan.ranges, state.pose, belief, front_min_range(scan),
+                     digest.sector_min, digest.nearest_bearing,
+                     digest.nearest_range)
         self._percept = p
         return p.front_min
 
-    def _summary(self) -> ScanSummary:
+    def _summary(self, now: int) -> ScanSummary:
         """The scan's sector digest with the device's current pose and load
         and the latch's mode (safe-mode handling can change it mid-tick)."""
-        digest = self._percept.digest
+        p = self._percept
         state = self.device.state
         return ScanSummary(
-            sector_min=digest.sector_min,
-            nearest_bearing=digest.nearest_bearing,
-            nearest_range=digest.nearest_range,
+            sector_min=p.sector_min,
+            nearest_bearing=p.nearest_bearing,
+            nearest_range=p.nearest_range,
             pose=state.pose,
             load=state.load,
             mode=self.mode,
-            tick=self._scan.tick,
+            tick=now,
         )
 
     def _roam(self, scan: LidarScan, scale: float, now: int) -> bool:
-        vl, vr = roam_intent(self._summary(), self.roam_rng, self.device.robot,
-                             self.params, scan.max_range)
+        vl, vr = roam_intent(self._summary(now), self.roam_rng,
+                             self.device.robot, self.params, scan.max_range)
         low = LowCommand(self._next_low_id(), None, LowKind.SET_WHEELS,
                          vl * scale, vr * scale)
-        verdict = self.safety_check(low, now)
-        if verdict.safe:
-            self._emit("INSTINCT", "roam", {"low_id": low.id,
-                                            "v_left": low.v_left,
-                                            "v_right": low.v_right})
-            self._execute(low)
-            return True
-        self._emit("INSTINCT", "roam_refused",
-                   {"low_id": low.id, "reason": verdict.reason.value})
-        return False
+        return self._vet(low, now).safe
 
     def _drive_active(self, state: RobotState, scale: float, now: int) -> bool:
         active = self.active
@@ -802,14 +793,13 @@ class InstinctController:
         kind, vl, vr = intent
         low = LowCommand(self._next_low_id(), active.cmd.id, kind,
                          vl * scale, vr * scale)
-        verdict = self.safety_check(low, now)
-        ids = {"low_id": low.id, "parent_id": low.parent_id}
-        self._emit("INSTINCT", "verdict", {**ids, **verdict.to_payload()})
+        verdict = self._vet(low, now)
         if not verdict.safe:
-            self.refuse(low, verdict, now)
+            self._send_feedback(Feedback(active.cmd.id,
+                                         FeedbackStatus.REFUSED,
+                                         verdict.reason.value, now, verdict))
             self.active = None
             return False
-        self._execute(low)
         if done:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.COMPLETED,
                                          "DONE", now))
@@ -820,4 +810,4 @@ class InstinctController:
         return low.kind is LowKind.SET_WHEELS
 
     def _send_data(self, now: int) -> None:
-        self.data_channel.transmit(self._summary(), now)
+        self.data_channel.transmit(self._summary(now), now)

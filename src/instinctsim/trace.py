@@ -15,10 +15,12 @@ from typing import Callable, Iterable, NamedTuple
 
 # Instinct-tick phases for the ordering audit. Survival work (status check,
 # safe mode, governor, roaming) must precede command handling within a tick.
+# A primitive's verdict and execution take the phase of its parent: survival
+# for a roaming arc (parent_id "SURVIVAL"), command for an agent command's.
 _SURVIVAL_KINDS = {"status", "safe_mode_entered", "safe_mode_exited",
-                   "governor", "roam", "roam_refused"}
-_COMMAND_KINDS = {"command_received", "command_malformed", "verdict", "refusal"}
-_EXEC_KINDS = {"exec_wheels", "exec_stop"}
+                   "governor"}
+_COMMAND_KINDS = {"command_received", "command_malformed"}
+_PRIMITIVE_KINDS = {"verdict", "exec_wheels", "exec_stop"}
 
 
 class TraceEvent(NamedTuple):
@@ -140,8 +142,10 @@ class MetricsAccumulator:
         if event.layer == "INSTINCT":
             if kind == "status":
                 self.metrics.ticks += 1
-            elif kind == "refusal":
-                self.metrics.refusals += 1
+            elif kind == "verdict":
+                payload = event.payload
+                if not payload["safe"] and payload["parent_id"] != "SURVIVAL":
+                    self.metrics.refusals += 1
         elif event.layer == "DEVICE":
             if kind == "state":
                 c = event.payload["clearance"]
@@ -174,6 +178,10 @@ def _phase(event: TraceEvent, unsafe_tick: bool) -> str | None:
     on a safe (holding) tick it answers a fresh command, like all other
     feedback.
     """
+    if event.kind in _PRIMITIVE_KINDS:
+        if event.payload.get("parent_id") == "SURVIVAL":
+            return "survival"
+        return "command"
     if event.layer == "INSTINCT":
         if event.kind in _SURVIVAL_KINDS:
             return "survival"
@@ -183,11 +191,6 @@ def _phase(event: TraceEvent, unsafe_tick: bool) -> str | None:
             if unsafe_tick and event.payload.get("status") == "SAFE_MODE":
                 return "survival"
             return "command"
-        return None
-    if event.layer == "DEVICE" and event.kind in _EXEC_KINDS:
-        if event.payload.get("parent_id") == "SURVIVAL":
-            return "survival"
-        return "command"
     return None
 
 
@@ -202,8 +205,8 @@ class TraceAuditor:
       command-handling event, and an unsafe-status tick has no
       command-handling events at all;
     * no refused low command is ever executed by a device;
-    * every device execution of an agent command has a same-tick prior
-      approval verdict from the instinct layer;
+    * every device execution, of a roaming arc or of an agent command, has
+      a same-tick prior approval verdict from the instinct layer;
     * at most one terminal feedback per high command, none after terminal.
     """
 
@@ -213,7 +216,7 @@ class TraceAuditor:
         self._tick: int | None = None
         self._tick_unsafe = False
         self._min_command_seq: int | None = None
-        self._tick_approved: dict[int, bool] = {}
+        self._tick_approved: set[int] = set()
         self._refused_low_ids: set[int] = set()
         self._received_cmds: set[int] = set()
         self._terminal_counts: dict[int, int] = {}
@@ -227,7 +230,7 @@ class TraceAuditor:
             self._tick = event.tick
             self._tick_unsafe = False
             self._min_command_seq = None
-            self._tick_approved = {}
+            self._tick_approved = set()
 
         if event.layer == "INSTINCT" and event.kind == "status":
             self._tick_unsafe = not event.payload["safe"]
@@ -247,10 +250,11 @@ class TraceAuditor:
                 )
 
         if event.layer == "INSTINCT":
-            if event.kind == "refusal":
-                self._refused_low_ids.add(event.payload["low_id"])
-            elif event.kind == "verdict" and event.payload["safe"]:
-                self._tick_approved[event.payload["low_id"]] = True
+            if event.kind == "verdict":
+                if event.payload["safe"]:
+                    self._tick_approved.add(event.payload["low_id"])
+                else:
+                    self._refused_low_ids.add(event.payload["low_id"])
             elif event.kind in ("command_received", "command_malformed"):
                 self._received_cmds.add(event.payload["id"])
             elif event.kind == "feedback":
@@ -265,18 +269,17 @@ class TraceAuditor:
                         )
                     if status in ("COMPLETED", "REFUSED", "SAFE_MODE"):
                         self._terminal_counts[cid] = seen + 1
-        elif event.layer == "DEVICE" and event.kind in _EXEC_KINDS:
+        elif event.layer == "DEVICE" and event.kind in _PRIMITIVE_KINDS:
             low_id = event.payload.get("low_id")
             if low_id in self._refused_low_ids:
                 self.violations.append(
                     f"tick {event.tick}: refused low command {low_id} executed"
                 )
-            if event.payload.get("parent_id") != "SURVIVAL":
-                if not self._tick_approved.get(low_id):
-                    self.violations.append(
-                        f"tick {event.tick}: device execution of low {low_id} "
-                        f"without same-tick instinct approval"
-                    )
+            if low_id not in self._tick_approved:
+                self.violations.append(
+                    f"tick {event.tick}: device execution of low {low_id} "
+                    f"without same-tick instinct approval"
+                )
 
     def finish(self, allow_in_flight: bool = True) -> list[str]:
         """Final whole-run checks; returns all collected violations."""

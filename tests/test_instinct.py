@@ -175,10 +175,18 @@ class TestRoaming:
             for i in range(50):
                 stack.device.step(PHYSICS_DT)
                 stack.controller.tick(i)
-            for e in stack.recorder.events:
-                if e.kind == "roam":
-                    out.append((e.tick, e.payload["v_left"],
-                                e.payload["v_right"]))
+            events = stack.recorder.events
+            approved = {e.payload["low_id"]: e.payload["safe"] for e in events
+                        if e.kind == "verdict"
+                        and e.payload["parent_id"] == "SURVIVAL"}
+            execs = [e for e in events if e.kind == "exec_wheels"]
+            # every arc is vetted, and exactly the approved ones execute
+            assert [e.payload["low_id"] for e in execs] == \
+                [low_id for low_id, safe in approved.items() if safe]
+            assert all(e.payload["parent_id"] == "SURVIVAL" for e in execs)
+            for e in execs:
+                out.append((e.tick, e.payload["v_left"],
+                            e.payload["v_right"]))
             return out
 
         first = arcs(123)
@@ -195,7 +203,8 @@ class TestRoaming:
         stack.controller.tick(0)
         stack.controller.tick(1)
         roams = [e for e in stack.recorder.events
-                 if e.kind == "roam" and e.tick == 1]
+                 if e.kind == "verdict" and e.tick == 1
+                 and e.payload["parent_id"] == "SURVIVAL"]
         assert not roams
         execs = [e for e in stack.recorder.events
                  if e.kind == "exec_wheels" and e.tick == 1]
@@ -472,9 +481,11 @@ class TestRefusal:
         assert not [e for e in events if e.kind.startswith("exec_")]
         assert stack.device.cmd_v_left == 0.0
         assert stack.device.cmd_v_right == 0.0
-        refusals = [e for e in events if e.kind == "refusal"]
-        assert len(refusals) == 1
-        assert refusals[0].layer == "INSTINCT"
+        verdicts = [e for e in events if e.kind == "verdict"]
+        assert len(verdicts) == 1
+        assert verdicts[0].layer == "INSTINCT"
+        assert verdicts[0].payload["parent_id"] == 1
+        assert not verdicts[0].payload["safe"]
 
     def test_refusal_feedback_carries_verdict(self):
         stack = self.make_refusing_stack()

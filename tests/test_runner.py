@@ -93,14 +93,14 @@ class TestDeterminism:
             agent=AgentParams(backend="rule", kill_tick=100))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
-                     "039c362d24c9cf558b414ffde8e5e294"
-                     "ffb48964adbefd58102d477e2b2cc474"),
+                     "545eebabcc04cd0b17f2372a3691337a"
+                     "cbf0c025d8f8fdb01935097201b38eaa"),
             "hallucinate_kill120": (hallucinating,
                                     "6467c22be3360063f968229c9f107ed5"
                                     "86ea1902bd50cda4fc2a9f396249f034"),
             "roaming_kill100": (roaming,
-                                "c1ab6bf0f7e158c15ea6e89e6abce525"
-                                "9bd334512244ef6d35516313da9c5069"),
+                                "c7aa0a232b6f42c365a8a0e4ad4ce06b"
+                                "bbbef812c46be4cabcd8f20fb7ef83d3"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"
@@ -219,17 +219,24 @@ class TestRunLevelInvariants:
                 store_trace=False, sinks=[auditor])
         assert auditor.finish() == []
 
-    def test_every_execution_has_same_tick_approval(self):
-        trace, _ = run_sim(small_scenario(ticks=800))
+    @pytest.mark.parametrize("roaming", [False, True])
+    def test_every_execution_has_same_tick_approval(self, roaming):
+        # with roaming on, the robot roams after the agent dies at tick 100
+        sc = small_scenario(ticks=800)
+        if roaming:
+            sc = replace(sc, instinct=InstinctParams(roaming=True),
+                         agent=AgentParams(backend="rule", kill_tick=100))
+        trace, _ = run_sim(sc)
         approvals = {}
+        parents = set()
         for e in trace:
             if e.layer == "INSTINCT" and e.kind == "verdict" and \
                     e.payload["safe"]:
                 approvals.setdefault(e.tick, set()).add(e.payload["low_id"])
-        for e in trace:
-            if e.layer == "DEVICE" and e.kind.startswith("exec_") and \
-                    e.payload["parent_id"] != "SURVIVAL":
+            elif e.layer == "DEVICE" and e.kind.startswith("exec_"):
                 assert e.payload["low_id"] in approvals.get(e.tick, set())
+                parents.add(e.payload["parent_id"] == "SURVIVAL")
+        assert parents == ({False, True} if roaming else {False})
 
     def test_run_ends_when_tasks_terminal(self):
         trace, metrics = run_sim(small_scenario(ticks=6000))

@@ -1,7 +1,9 @@
 """Trace plumbing tests: files, ordering, metrics replay, the auditor."""
 
 import json
+import re
 import threading
+from pathlib import Path
 
 from instinctsim.trace import (
     MetricsAccumulator,
@@ -14,6 +16,8 @@ from instinctsim.trace import (
     write_metrics,
     write_trace,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ev(tick, seq, layer, kind, **payload):
@@ -129,8 +133,14 @@ class TestMetricsReplay:
             ev(0, 1, "DEVICE", "state", clearance=0.8, collided=False),
             ev(1, 0, "INSTINCT", "status", safe=True),
             ev(1, 1, "DEVICE", "state", clearance=0.3, collided=False),
-            ev(1, 2, "INSTINCT", "refusal", low_id=4, parent_id=1,
-               reason="OBSTACLE_PREDICTED", predicted_min_clearance=0.1),
+            ev(1, 2, "INSTINCT", "verdict", low_id=3, parent_id="SURVIVAL",
+               safe=False, predicted_min_clearance=0.1,
+               reason="OBSTACLE_PREDICTED"),
+            ev(1, 3, "INSTINCT", "verdict", low_id=4, parent_id=1,
+               safe=False, predicted_min_clearance=0.1,
+               reason="OBSTACLE_PREDICTED"),
+            ev(1, 4, "INSTINCT", "verdict", low_id=5, parent_id=1,
+               safe=True, predicted_min_clearance=0.5, reason="OK"),
             ev(2, 0, "DECISION", "hallucination", command_id=3),
             ev(2, 1, "DECISION", "task_completed", id=1),
             ev(3, 0, "DEVICE", "collision", x=0.0, y=0.0),
@@ -142,7 +152,7 @@ class TestMetricsReplay:
         assert replayed.replay_dict() == acc.metrics.replay_dict()
         assert replayed.ticks == 2
         assert replayed.min_ground_truth_clearance == 0.3
-        assert replayed.refusals == 1
+        assert replayed.refusals == 1  # a refused roaming arc is no refusal
         assert replayed.hallucinated_commands == 1
         assert replayed.tasks_completed == 1
         assert replayed.collisions == 1
@@ -169,14 +179,19 @@ class TestAuditor:
         ]
 
     def test_clean_stream_passes(self):
+        # a roaming arc is vetted and executed in the survival phase
         events = self.clean_tick(0) + [
-            ev(0, 2, "INSTINCT", "command_received", id=1, kind_="MOVE_TO"),
-            ev(0, 3, "INSTINCT", "feedback", command_id=1, status="ACCEPTED"),
-            ev(0, 4, "INSTINCT", "verdict", low_id=9, parent_id=1, safe=True,
+            ev(0, 2, "INSTINCT", "verdict", low_id=8, parent_id="SURVIVAL",
+               safe=True, predicted_min_clearance=1.0, reason="OK"),
+            ev(0, 3, "DEVICE", "exec_wheels", low_id=8, parent_id="SURVIVAL",
+               v_left=0.1, v_right=0.1),
+            ev(0, 4, "INSTINCT", "command_received", id=1, kind_="MOVE_TO"),
+            ev(0, 5, "INSTINCT", "feedback", command_id=1, status="ACCEPTED"),
+            ev(0, 6, "INSTINCT", "verdict", low_id=9, parent_id=1, safe=True,
                predicted_min_clearance=1.0, reason="OK"),
-            ev(0, 5, "DEVICE", "exec_wheels", low_id=9, parent_id=1,
+            ev(0, 7, "DEVICE", "exec_wheels", low_id=9, parent_id=1,
                v_left=0.5, v_right=0.5),
-            ev(0, 6, "INSTINCT", "feedback", command_id=1, status="EXECUTING"),
+            ev(0, 8, "INSTINCT", "feedback", command_id=1, status="EXECUTING"),
         ] + self.clean_tick(1) + [
             ev(1, 2, "INSTINCT", "feedback", command_id=1, status="COMPLETED"),
         ]
@@ -200,10 +215,20 @@ class TestAuditor:
         ]
         assert any("survival event" in v for v in self.feed(events))
 
+    def test_survival_verdict_after_command_detected(self):
+        events = self.clean_tick(0) + [
+            ev(0, 2, "INSTINCT", "command_received", id=1, kind_="MOVE_TO"),
+            ev(0, 3, "INSTINCT", "verdict", low_id=5, parent_id="SURVIVAL",
+               safe=False, predicted_min_clearance=0.0,
+               reason="OBSTACLE_PREDICTED"),
+        ]
+        assert any("survival event" in v for v in self.feed(events))
+
     def test_refused_low_execution_detected(self):
         events = self.clean_tick(0) + [
-            ev(0, 2, "INSTINCT", "refusal", low_id=7, parent_id=1,
-               reason="OBSTACLE_PREDICTED", predicted_min_clearance=0.0),
+            ev(0, 2, "INSTINCT", "verdict", low_id=7, parent_id=1,
+               safe=False, predicted_min_clearance=0.0,
+               reason="OBSTACLE_PREDICTED"),
             ev(0, 3, "DEVICE", "exec_wheels", low_id=7, parent_id=1,
                v_left=0.5, v_right=0.5),
         ]
@@ -217,13 +242,23 @@ class TestAuditor:
         ]
         assert any("without same-tick" in v for v in self.feed(events))
 
-    def test_survival_execution_needs_no_approval(self):
+    def test_survival_execution_needs_approval(self):
         events = self.clean_tick(0) + [
-            ev(0, 2, "INSTINCT", "roam", low_id=5, v_left=0.1, v_right=0.1),
+            ev(0, 2, "DEVICE", "exec_wheels", low_id=5, parent_id="SURVIVAL",
+               v_left=0.1, v_right=0.1),
+        ]
+        assert any("low 5 without same-tick" in v for v in self.feed(events))
+
+    def test_refused_survival_execution_detected(self):
+        events = self.clean_tick(0) + [
+            ev(0, 2, "INSTINCT", "verdict", low_id=5, parent_id="SURVIVAL",
+               safe=False, predicted_min_clearance=0.0,
+               reason="OBSTACLE_PREDICTED"),
             ev(0, 3, "DEVICE", "exec_wheels", low_id=5, parent_id="SURVIVAL",
                v_left=0.1, v_right=0.1),
         ]
-        assert self.feed(events) == []
+        assert any("refused low command 5 executed" in v
+                   for v in self.feed(events))
 
     def test_double_terminal_detected(self):
         events = self.clean_tick(0) + [
@@ -256,3 +291,44 @@ class TestAuditor:
                status="SAFE_MODE"),
         ]
         assert self.feed(events) == []
+
+
+class TestSchemaDoc:
+    """``docs/trace_schema.md`` lists exactly the events the program emits."""
+
+    @staticmethod
+    def emitted():
+        """(layer, kind) of every ``emit`` call in the package, and the
+        calls whose layer and kind are not both string literals."""
+        pairs, other = set(), []
+        for path in sorted((ROOT / "src" / "instinctsim").glob("*.py")):
+            for m in re.finditer(r"(def )?\b_?emit\((.*)", path.read_text()):
+                if m.group(1):
+                    continue
+                literal = re.match(r'\s*"([A-Z]+)",\s*"(\w+)"', m.group(2))
+                if literal:
+                    pairs.add(literal.groups())
+                else:
+                    other.append(f"{path.name}: emit({m.group(2)}")
+        return pairs, other
+
+    @staticmethod
+    def documented():
+        """(layer, kind) of every row in the doc's event tables."""
+        text = (ROOT / "docs" / "trace_schema.md").read_text()
+        section = text.split("\n## Event kinds\n", 1)[1].split("\n## ", 1)[0]
+        pairs, layer = set(), None
+        for line in section.splitlines():
+            if line.startswith("### "):
+                layer = line[4:].strip()
+            elif line.startswith("| `"):
+                kinds = re.findall(r"`(\w+)`", line.split("|")[1])
+                pairs.update((layer, kind) for kind in kinds)
+        return pairs
+
+    def test_event_tables_match_emitted_kinds(self):
+        emitted, other = self.emitted()
+        # the controller's one forwarding helper is the only non-literal call
+        assert other == ["instinct.py: emit(layer, kind, payload)"]
+        assert ("INSTINCT", "verdict") in emitted
+        assert self.documented() == emitted
