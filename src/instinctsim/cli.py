@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     run = run_live if args.live else run_sim
-    trace, metrics = run(scenario)
+    trace, metrics = run(scenario, store_trace=args.trace_out is not None)
     if args.trace_out:
         try:
             write_trace(trace, args.trace_out)

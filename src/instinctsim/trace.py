@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # Instinct-tick phases for the ordering audit. Survival work (status check,
 # safe mode, governor, roaming) must precede command handling within a tick.
@@ -21,6 +21,10 @@ _SURVIVAL_KINDS = {"status", "safe_mode_entered", "safe_mode_exited",
                    "governor"}
 _COMMAND_KINDS = {"command_received", "command_malformed"}
 _PRIMITIVE_KINDS = {"verdict", "exec_wheels", "exec_stop"}
+
+# One encoder for every event: ``json.dumps(obj, sort_keys=True)`` builds a
+# new JSONEncoder per call, and this one writes the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class TraceEvent(NamedTuple):
@@ -33,11 +37,9 @@ class TraceEvent(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODER.encode(
             {"tick": self.tick, "seq": self.seq, "layer": self.layer,
-             "kind": self.kind, "payload": self.payload},
-            sort_keys=True,
-        )
+             "kind": self.kind, "payload": self.payload})
 
 
 class TraceRecorder:
@@ -91,17 +93,24 @@ def write_trace(events: Iterable[TraceEvent], path: str) -> int:
     return count
 
 
-def read_trace(path: str) -> list[TraceEvent]:
-    out: list[TraceEvent] = []
+def read_trace(path: str) -> Iterator[TraceEvent]:
+    """Yield the events of a JSONL trace one at a time, in file order.
+
+    The reader streams: it parses a line only when the caller asks for the
+    next event and keeps no list, so replaying a trace takes memory that
+    does not grow with the trace. It is a generator: iterate it once (wrap
+    it in ``list`` to keep the events). The file opens at the first
+    ``next`` and closes once the events are exhausted or the generator is
+    closed. Blank lines are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             raw = json.loads(line)
-            out.append(TraceEvent(raw["tick"], raw["seq"], raw["layer"],
-                                  raw["kind"], raw["payload"]))
-    return out
+            yield TraceEvent(raw["tick"], raw["seq"], raw["layer"],
+                             raw["kind"], raw["payload"])
 
 
 @dataclass
@@ -204,10 +213,18 @@ class TraceAuditor:
     * within a tick every survival/safe-mode event precedes every
       command-handling event, and an unsafe-status tick has no
       command-handling events at all;
+    * verdict ``low_id``s strictly increase: every vetted primitive gets
+      exactly one verdict, numbered by one counter;
     * no refused low command is ever executed by a device;
     * every device execution, of a roaming arc or of an agent command, has
       a same-tick prior approval verdict from the instinct layer;
     * at most one terminal feedback per high command, none after terminal.
+
+    Refusals are kept for the current tick only, so memory does not grow
+    with the primitives of a run. A primitive refused on an earlier tick
+    can execute only after a fresh same-tick approval, which is a second
+    verdict for its id and breaks the increasing-id rule; without one, the
+    same-tick-approval rule flags the execution.
     """
 
     def __init__(self) -> None:
@@ -217,7 +234,8 @@ class TraceAuditor:
         self._tick_unsafe = False
         self._min_command_seq: int | None = None
         self._tick_approved: set[int] = set()
-        self._refused_low_ids: set[int] = set()
+        self._tick_refused: set[int] = set()
+        self._last_verdict_id: int | None = None
         self._received_cmds: set[int] = set()
         self._terminal_counts: dict[int, int] = {}
 
@@ -231,6 +249,7 @@ class TraceAuditor:
             self._tick_unsafe = False
             self._min_command_seq = None
             self._tick_approved = set()
+            self._tick_refused = set()
 
         if event.layer == "INSTINCT" and event.kind == "status":
             self._tick_unsafe = not event.payload["safe"]
@@ -251,10 +270,19 @@ class TraceAuditor:
 
         if event.layer == "INSTINCT":
             if event.kind == "verdict":
-                if event.payload["safe"]:
-                    self._tick_approved.add(event.payload["low_id"])
+                low_id = event.payload["low_id"]
+                last = self._last_verdict_id
+                if last is not None and low_id <= last:
+                    self.violations.append(
+                        f"tick {event.tick}: verdict for low {low_id} "
+                        f"after verdict for low {last}"
+                    )
                 else:
-                    self._refused_low_ids.add(event.payload["low_id"])
+                    self._last_verdict_id = low_id
+                if event.payload["safe"]:
+                    self._tick_approved.add(low_id)
+                else:
+                    self._tick_refused.add(low_id)
             elif event.kind in ("command_received", "command_malformed"):
                 self._received_cmds.add(event.payload["id"])
             elif event.kind == "feedback":
@@ -271,7 +299,7 @@ class TraceAuditor:
                         self._terminal_counts[cid] = seen + 1
         elif event.layer == "DEVICE" and event.kind in _PRIMITIVE_KINDS:
             low_id = event.payload.get("low_id")
-            if low_id in self._refused_low_ids:
+            if low_id in self._tick_refused:
                 self.violations.append(
                     f"tick {event.tick}: refused low command {low_id} executed"
                 )

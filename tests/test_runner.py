@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from instinctsim import agent as agent_module
+from instinctsim import cli as cli_module
 from instinctsim.cli import main as cli_main
 from instinctsim.config import AgentParams, InstinctParams
 from instinctsim.messages import Goal, GoalKind
@@ -73,7 +74,7 @@ class TestDeterminism:
         assert recompute_metrics(trace).replay_dict() == metrics.replay_dict()
 
     def test_pinned_trace_digests(self, tmp_path):
-        """The deterministic traces of three fixed runs, pinned by sha256.
+        """The deterministic traces of four fixed runs, pinned by sha256.
 
         A change that only restructures code must leave these bytes alone.
         The pins are platform-specific: the trace carries floats from libm
@@ -91,6 +92,11 @@ class TestDeterminism:
             small_scenario(ticks=2000),
             instinct=InstinctParams(roaming=True),
             agent=AgentParams(backend="rule", kill_tick=100))
+        # every command hallucinated: two refused before the kill at 400
+        refusing = replace(
+            small_scenario(seed=4, backend="hallucinate", probability=1.0),
+            agent=AgentParams(backend="hallucinate",
+                              hallucination_probability=1.0, kill_tick=400))
         pins = {
             "demo": (load_scenario(str(DEMO_SCENARIO)),
                      "545eebabcc04cd0b17f2372a3691337a"
@@ -101,11 +107,19 @@ class TestDeterminism:
             "roaming_kill100": (roaming,
                                 "c7aa0a232b6f42c365a8a0e4ad4ce06b"
                                 "bbbef812c46be4cabcd8f20fb7ef83d3"),
+            "hallucinate_refusals_kill400": (refusing,
+                                             "c4fa6859394f5ab1f0a77e92b596fc9e"
+                                             "01d73c77f4c64fc0075b0b8c90032b5e"),
         }
         for name, (sc, pinned) in pins.items():
             path = tmp_path / f"{name}.jsonl"
             write_trace(run_sim(sc)[0], str(path))
             assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned, name
+        refused = [e.tick for e in read_trace(
+                       str(tmp_path / "hallucinate_refusals_kill400.jsonl"))
+                   if e.kind == "verdict" and not e.payload["safe"]
+                   and e.payload["parent_id"] != "SURVIVAL"]
+        assert [t for t in refused if t < 400]
 
     def test_pinned_oracle_digest(self):
         """The oracle's verdicts on generated cases, pinned by one sha256
@@ -366,6 +380,25 @@ class TestCli:
                          "--agent", "hallucinate",
                          "--hallucination-prob", "1.0", "--ticks", "300"])
         assert code == 0
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_trace_stored_only_when_written(self, tmp_path, monkeypatch,
+                                            write):
+        stored = []
+
+        def recording_run_sim(scenario, store_trace=True):
+            stored.append(store_trace)
+            return run_sim(scenario, store_trace=store_trace)
+
+        monkeypatch.setattr(cli_module, "run_sim", recording_run_sim)
+        trace_out = tmp_path / "trace.jsonl"
+        flags = ["--trace-out", str(trace_out)] if write else []
+        assert cli_main(["--scenario", str(self.scenario_file(tmp_path)),
+                         *flags]) == 0
+        assert stored == [write]
+        assert trace_out.exists() == write
+        if write:
+            assert trace_out.read_text().count("\n") > 400
 
     @pytest.mark.parametrize("flags, message", [
         (["--ticks", "-1"], "scenario.ticks must be >= 0"),

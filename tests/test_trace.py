@@ -1,8 +1,10 @@
 """Trace plumbing tests: files, ordering, metrics replay, the auditor."""
 
 import json
+import math
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 from instinctsim.trace import (
@@ -93,7 +95,7 @@ class TestTraceFiles:
         assert count == 3
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
-        assert read_trace(str(path)) == events
+        assert list(read_trace(str(path))) == events
 
     def test_event_fields_and_json_bytes(self):
         event = TraceEvent(3, 1, "INSTINCT", "verdict",
@@ -103,6 +105,20 @@ class TestTraceFiles:
         assert event.to_json() == (
             '{"kind": "verdict", "layer": "INSTINCT", "payload": '
             '{"bound": "disc", "safe": true}, "seq": 1, "tick": 3}')
+
+    def test_json_bytes_match_dumps(self):
+        payloads = [
+            {"c": math.nan, "b": math.inf, "a": -math.inf},
+            {"route": [[0.5, -1.25], [2.0, [3, None]]], "empty": []},
+            {"reason": "Hindernis vor dem Roboter: 0,3 m — 障害物"},
+            {"x": None, "safe": True, "collided": False, "n": 0},
+            {"nested": {"z": {"y": [True, None, -0.0]}, "a": 1e300}},
+        ]
+        for payload in payloads:
+            event = TraceEvent(7, 2, "DEVICE", "state", payload)
+            assert event.to_json() == json.dumps(
+                {"tick": 7, "seq": 2, "layer": "DEVICE", "kind": "state",
+                 "payload": payload}, sort_keys=True)
 
     def test_events_sorted_by_tick_seq(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -114,7 +130,38 @@ class TestTraceFiles:
         path = tmp_path / "empty.jsonl"
         assert write_trace([], str(path)) == 0
         assert path.read_text() == ""
-        assert read_trace(str(path)) == []
+        assert list(read_trace(str(path))) == []
+
+    def test_replay_memory_does_not_grow_with_trace(self, tmp_path):
+        # 5,000 ticks of a roaming run's events: 20,000 lines, about 4 MB
+        def events():
+            for tick in range(5000):
+                yield ev(tick, 0, "DEVICE", "state",
+                         clearance=1.0 + tick * 1e-4, collided=False,
+                         pose=[tick * 1e-3, -0.5, 0.25], load=0.1)
+                yield ev(tick, 1, "INSTINCT", "status", safe=True,
+                         reason="OK", mode="NORMAL", front_min=2.5)
+                yield ev(tick, 2, "INSTINCT", "verdict", low_id=tick + 1,
+                         parent_id="SURVIVAL", safe=tick % 3 != 0,
+                         predicted_min_clearance=0.4, reason="OK")
+                yield ev(tick, 3, "DEVICE", "exec_wheels", low_id=tick + 1,
+                         parent_id="SURVIVAL", v_left=0.2, v_right=0.3,
+                         duration_ticks=1)
+
+        path = tmp_path / "long.jsonl"
+        assert write_trace(events(), str(path)) == 20000
+        reader = read_trace(str(path))
+        assert iter(reader) is reader
+        reader.close()
+        tracemalloc.start()
+        try:
+            replayed = recompute_metrics(read_trace(str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert replayed == recompute_metrics(events())
+        assert replayed.ticks == 5000
+        assert peak < 1_000_000, peak
 
     def test_metrics_document(self, tmp_path):
         m = RunMetrics(ticks=10, collisions=0, refusals=2,
@@ -234,6 +281,47 @@ class TestAuditor:
         ]
         violations = self.feed(events)
         assert any("refused low command 7 executed" in v for v in violations)
+
+    def test_earlier_refusal_executed_without_new_verdict_detected(self):
+        events = self.clean_tick(0) + [
+            ev(0, 2, "INSTINCT", "verdict", low_id=7, parent_id=1,
+               safe=False, predicted_min_clearance=0.0,
+               reason="OBSTACLE_PREDICTED"),
+        ] + self.clean_tick(1) + [
+            ev(1, 2, "DEVICE", "exec_wheels", low_id=7, parent_id=1,
+               v_left=0.5, v_right=0.5),
+        ]
+        assert any("low 7 without same-tick" in v for v in self.feed(events))
+
+    def test_earlier_refusal_reapproved_and_executed_detected(self):
+        events = self.clean_tick(0) + [
+            ev(0, 2, "INSTINCT", "verdict", low_id=7, parent_id=1,
+               safe=False, predicted_min_clearance=0.0,
+               reason="OBSTACLE_PREDICTED"),
+        ] + self.clean_tick(1) + [
+            ev(1, 2, "INSTINCT", "verdict", low_id=7, parent_id=1,
+               safe=True, predicted_min_clearance=1.0, reason="OK"),
+            ev(1, 3, "DEVICE", "exec_wheels", low_id=7, parent_id=1,
+               v_left=0.5, v_right=0.5),
+        ]
+        violations = self.feed(events)
+        assert violations
+        assert all(re.search(r"\blow (command )?7\b", v) for v in violations)
+
+    def test_repeated_or_decreasing_verdict_id_detected(self):
+        def verdict(seq, low_id):
+            return ev(0, seq, "INSTINCT", "verdict", low_id=low_id,
+                      parent_id="SURVIVAL", safe=True,
+                      predicted_min_clearance=1.0, reason="OK")
+
+        repeated = self.clean_tick(0) + [verdict(2, 5), verdict(3, 5)]
+        assert self.feed(repeated) == [
+            "tick 0: verdict for low 5 after verdict for low 5"]
+        decreasing = self.clean_tick(0) + [verdict(2, 6), verdict(3, 4),
+                                           verdict(4, 6)]
+        assert self.feed(decreasing) == [
+            "tick 0: verdict for low 4 after verdict for low 6",
+            "tick 0: verdict for low 6 after verdict for low 6"]
 
     def test_unapproved_execution_detected(self):
         events = self.clean_tick(0) + [
