@@ -133,7 +133,7 @@ class TestTraceFiles:
         assert list(read_trace(str(path))) == []
 
     def test_replay_memory_does_not_grow_with_trace(self, tmp_path):
-        # 5,000 ticks of a roaming run's events: 20,000 lines, about 4 MB
+        # 5,000 ticks of a roaming run's events: 20,000 lines
         def events():
             for tick in range(5000):
                 yield ev(tick, 0, "DEVICE", "state",
