@@ -59,14 +59,14 @@ def main(argv: list[str] | None = None) -> int:
 
     run = run_live if args.live else run_sim
     trace, metrics = run(scenario, store_trace=args.trace_out is not None)
-    if args.trace_out:
+    if args.trace_out is not None:
         try:
             write_trace(trace, args.trace_out)
         except OSError as exc:
             print(f"cannot write trace {args.trace_out}: {exc}",
                   file=sys.stderr)
             return 1
-    if args.metrics_out:
+    if args.metrics_out is not None:
         try:
             write_metrics(metrics, args.metrics_out)
         except OSError as exc:

@@ -12,12 +12,13 @@ working if the agent is gone entirely. The safe-mode latch is the controller's o
 
 Most motions are approved without predicting their trajectory. A travel
 bound L caps how far any predicted sample can lie from the pose
-(``travel_bound``, derived in ``docs/travel_bound.md``). When the pose's
-nearest belief point and its bounds margin keep d_min + radius + L plus a
-rounding margin, the command is approved with that lower bound as its
-clearance, and the verdict says so (``"bound": "disc"``). Every other
-motion is predicted and measured in full, so each verdict's safe flag and
-reason are those of the full check.
+(``travel_bound``, derived in ``docs/travel_bound.md``). At the pose the
+belief was built at, the nearest belief point lies at the scan's reach. When
+that reach and the bounds margin keep d_min + radius + L plus a rounding
+margin, the command is approved with that lower bound as its clearance, and
+the verdict says so (``"bound": "disc"``). Every other motion is predicted
+and measured in full, so each verdict's safe flag and reason are those of
+the full check.
 
 Perception is computed once per scan: the belief points, the front minimum
 and the eight-sector digest are derived when a scan arrives, and every
@@ -71,7 +72,15 @@ from .messages import (
     sector_angle,
 )
 from .trace import TraceRecorder
-from .world import DeviceSim, LidarScan, Pose2D, Rect, RobotState, wrap_angle
+from .world import (
+    OMEGA_STRAIGHT_EPS,
+    DeviceSim,
+    LidarScan,
+    Pose2D,
+    Rect,
+    RobotState,
+    wrap_angle,
+)
 
 
 class _BeamGeometry(NamedTuple):
@@ -199,7 +208,7 @@ def predict_trajectory(
     # hold_s can clip a step here
     v = 0.5 * (v_left + v_right)
     omega = (v_right - v_left) / axle
-    arc = abs(omega) > 1e-9
+    arc = abs(omega) > OMEGA_STRAIGHT_EPS
     radius = v / omega if arc else 0.0
     while t < hold_s:
         t_next = t + dt_pred
@@ -227,7 +236,7 @@ def predict_trajectory(
             step = dt_pred
         v = 0.5 * (vl + vr)
         omega = (vr - vl) / axle
-        if abs(omega) > 1e-9:
+        if abs(omega) > OMEGA_STRAIGHT_EPS:
             th_end = th + omega * step
             radius = v / omega
             s_end, c_end = sin(th_end), cos(th_end)
@@ -285,9 +294,6 @@ def _trajectory_clearances(
 
 # Unit roundoff of a float64 operation.
 _UNIT_ROUNDOFF = 2.0 ** -53
-# predict_trajectory integrates a yaw rate at or below this as a straight
-# line, so an arc's radius is below |v| / _ARC_OMEGA_MIN.
-_ARC_OMEGA_MIN = 1e-9
 
 
 def travel_bound(v_left: float, v_right: float, hold_s: float,
@@ -322,41 +328,38 @@ def _disc_verdict(
 
     Every sample lies within L (``travel_bound``) of the pose, so no sample
     is nearer a belief point, or the bounds, than the pose's own distance
-    minus L. From the belief's own origin that distance is its reach.
-    ``eps`` covers rounding in the samples and in the distances
+    minus L. It is read only as the reach of a belief built at this pose;
+    any other belief gets None. ``eps`` covers rounding in the samples and in the distances
     (``docs/travel_bound.md``). The verdict reports that certified lower
     bound, which is at most the full check's clearance. A non-finite pose
     makes ``eps`` NaN or inf, so it never approves.
     """
     x, y = pose.x, pose.y
+    if belief.origin != (x, y):
+        return None
     dt_pred = params.dt_pred
     length = travel_bound(v_left, v_right, hold_s, robot, dt_pred)
     m = min(x - bounds.x0, bounds.x1 - x, y - bounds.y0, bounds.y1 - y)
     floor = params.d_min + robot.radius + length
     if not m >= floor:
         return None
-    points = belief.points
-    if points.shape[0]:
-        if belief.origin == (x, y):
-            near = belief.reach
-        else:
-            d = points - (x, y)
-            d *= d
-            near = math.sqrt((d[:, 0] + d[:, 1]).min())
-        m = min(near, m)  # near goes first, so that a NaN one is returned
-        if not m >= floor:
-            return None
+    m = min(belief.reach, m)  # the reach goes first, so a NaN one is returned
+    if not m >= floor:
+        return None
     v_m = max(abs(v_left), abs(v_right))
     axle = robot.axle
     horizon = hold_s + v_m / robot.a_max + 0.1
     steps = horizon / dt_pred + 6.0
     # the largest arc radius: axle / 2 unless both wheels turn the same
-    # way, where the wheel difference sets it (it drifts by rounding only)
+    # way, where the wheel difference sets it (it drifts by rounding only);
+    # a yaw rate at or below OMEGA_STRAIGHT_EPS is integrated as a straight
+    # line, so an arc's radius is below |v| / OMEGA_STRAIGHT_EPS
     spread = abs(v_right - v_left)
     drift = 2.0 * steps * _UNIT_ROUNDOFF * v_m
     arc = 0.5 * axle
-    if spread + drift >= 0.5 * _ARC_OMEGA_MIN * axle:
-        arc += v_m * axle / max(spread - drift, 0.5 * _ARC_OMEGA_MIN * axle)
+    spread_min = 0.5 * OMEGA_STRAIGHT_EPS * axle
+    if spread + drift >= spread_min:
+        arc += v_m * axle / max(spread - drift, spread_min)
     turn = abs(pose.theta) + 2.0 * v_m * horizon / axle + 8.0
     eps = 8.0 * _UNIT_ROUNDOFF * steps * (
         abs(x) + abs(y) + m + length + v_m * horizon + robot.radius + 1.0
@@ -466,10 +469,8 @@ def convert(
             return None, True, waypoint_idx
         omega = max(-params.omega_max,
                     min(params.omega_max, params.k_theta * err))
-        half = omega * robot.axle / 2.0
-        if abs(half) > robot.v_wheel_max:
-            half = math.copysign(robot.v_wheel_max, half)
-        return (LowKind.SET_WHEELS, -half, half), False, waypoint_idx
+        vl, vr = _mix(0.0, omega, robot)
+        return (LowKind.SET_WHEELS, vl, vr), False, waypoint_idx
     # MOVE_TO and FOLLOW_PATH: steer to each route point in order
     while waypoint_idx < len(cmd.route):
         tx, ty = cmd.route[waypoint_idx]
@@ -783,23 +784,19 @@ class InstinctController:
             active.cmd, state.pose, self.device.robot, self.params,
             active.waypoint_idx,
         )
-        if intent is None:
-            if done:
-                self._send_feedback(Feedback(active.cmd.id,
-                                             FeedbackStatus.COMPLETED,
-                                             "DONE", now))
+        moving = False
+        if intent is not None:  # None only once done
+            kind, vl, vr = intent
+            low = LowCommand(self._next_low_id(), active.cmd.id, kind,
+                             vl * scale, vr * scale)
+            verdict = self._vet(low, now)
+            if not verdict.safe:
+                self._send_feedback(Feedback(
+                    active.cmd.id, FeedbackStatus.REFUSED,
+                    verdict.reason.value, now, verdict))
                 self.active = None
-            return False
-        kind, vl, vr = intent
-        low = LowCommand(self._next_low_id(), active.cmd.id, kind,
-                         vl * scale, vr * scale)
-        verdict = self._vet(low, now)
-        if not verdict.safe:
-            self._send_feedback(Feedback(active.cmd.id,
-                                         FeedbackStatus.REFUSED,
-                                         verdict.reason.value, now, verdict))
-            self.active = None
-            return False
+                return False
+            moving = kind is LowKind.SET_WHEELS
         if done:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.COMPLETED,
                                          "DONE", now))
@@ -807,7 +804,7 @@ class InstinctController:
         else:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.EXECUTING,
                                          "EXECUTING", now))
-        return low.kind is LowKind.SET_WHEELS
+        return moving
 
     def _send_data(self, now: int) -> None:
         self.data_channel.transmit(self._summary(now), now)

@@ -342,6 +342,21 @@ class TestConvert:
             Pose2D(0, 0, 0), ROBOT, PARAMS)
         assert intent is None and done
 
+    def test_rotate_to_scales_both_wheels_to_the_limit(self):
+        # omega_max * axle / 2 = 0.75 m/s exceeds the 0.5 m/s wheel limit
+        params = InstinctParams(omega_max=5.0)
+        intent, done, _ = convert(
+            HighCommand(1, HighKind.ROTATE_TO, 0, theta=3.0),
+            Pose2D(0, 0, 0), ROBOT, params)
+        kind, vl, vr = intent
+        assert kind is LowKind.SET_WHEELS and not done
+        assert vl == -vr and vr > 0
+        assert abs(vr - ROBOT.v_wheel_max) <= 1e-12
+        belief = ObstacleBelief(np.empty((0, 2)), 0, (0.0, 0.0))
+        v = safety_check(LowCommand(1, 1, kind, vl, vr), Pose2D(0, 0, 0),
+                         belief, BOUNDS, ROBOT, params, 0, PHYSICS_DT)
+        assert v.safe and v.reason is VerdictReason.OK
+
     def test_stop(self):
         intent, done, _ = convert(HighCommand(1, HighKind.STOP, 0),
                                   Pose2D(0, 0, 0), ROBOT, PARAMS)

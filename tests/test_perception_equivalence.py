@@ -431,6 +431,8 @@ class TestPerScanPerception:
         assert second.built_tick == 1
         assert second.points is first.points
         assert not second.points.flags.writeable
+        # the fast path reads the reach only at the belief's origin
+        assert (second.origin, second.reach) == (first.origin, first.reach)
 
     def test_summaries_equal_fresh_summaries_and_run_once_per_tick(
             self, monkeypatch):
@@ -441,6 +443,8 @@ class TestPerScanPerception:
             if not 200 <= now < 240:  # no physics: the pose holds, sweeps reused
                 stack.device.step(PHYSICS_DT)
             stack.controller.tick(now)
+            pose = stack.device.state.pose
+            assert stack.controller.belief.origin == (pose.x, pose.y)
             fresh = instinct.summarize(
                 scan(stack.world, stack.device.state.pose, 36, 5.0, tick=now),
                 stack.device.state, stack.controller.mode)

@@ -55,10 +55,10 @@ def wheel_pairs(draw):
 
 @st.composite
 def near_threshold_cases(draw):
-    """A pose (near the origin or near 1e6 m), a command, a belief (hand
-    placed points, or a scan taken at the pose) and bounds whose binding
-    margin sits a drawn slack above the fast path's floor
-    d_min + radius + L, so that approvals land near the boundary."""
+    """A pose (near the origin or near 1e6 m), a command, a belief built
+    from a scan taken at the pose (the only belief the fast path reads) and
+    bounds whose binding margin sits a drawn slack above the fast path's
+    floor d_min + radius + L, so that approvals land near the boundary."""
     base = draw(st.sampled_from([0.0, 1e6, -1e6]))
     x = base + draw(st.floats(-3.0, 3.0))
     y = draw(st.sampled_from([0.0, base])) + draw(st.floats(-3.0, 3.0))
@@ -75,30 +75,16 @@ def near_threshold_cases(draw):
         walls[draw(st.integers(0, 3))] = reach
     bounds = Rect(x - walls[0], y - walls[1], x + walls[2], y + walls[3])
     low = LowCommand(1, 2, LowKind.SET_WHEELS, vl, vr, ticks)
-    pose = Pose2D(x, y, theta)
-    if draw(st.booleans()):
-        # a scan taken at the pose: the belief knows its origin and reach
-        n = draw(st.integers(4, 40))
-        ranges = [draw(st.one_of(st.just(MAX_RANGE),
-                                 st.floats(reach, MAX_RANGE)))
-                  for _ in range(n)]
-        if near_point:  # a beam dead ahead, where a straight run heads
-            ranges[0 if draw(st.booleans()) else draw(
-                st.integers(0, n - 1))] = reach
-        sweep = LidarScan(np.array(ranges), theta, 2.0 * math.pi / n,
-                          MAX_RANGE, 0)
-        return pose, low, ObstacleBelief.from_scan(sweep, x, y), bounds
-    points = []
-    for _ in range(draw(st.integers(0, 20))):
-        a = draw(st.floats(-math.pi, math.pi))
-        r = draw(st.floats(reach, reach + 3.0))
-        points.append((x + r * math.cos(a), y + r * math.sin(a)))
-    if near_point:  # dead ahead or behind, where a straight run heads
-        a = theta + draw(st.one_of(st.sampled_from([0.0, math.pi]),
-                                   st.floats(-math.pi, math.pi)))
-        points.append((x + reach * math.cos(a), y + reach * math.sin(a)))
-    points = np.array(points, dtype=float).reshape(-1, 2)
-    return pose, low, ObstacleBelief(points, 0), bounds
+    n = draw(st.integers(4, 40))
+    ranges = [draw(st.one_of(st.just(MAX_RANGE), st.floats(reach, MAX_RANGE)))
+              for _ in range(n)]
+    if near_point:  # a beam dead ahead, where a straight run heads
+        ranges[0 if draw(st.booleans()) else draw(
+            st.integers(0, n - 1))] = reach
+    sweep = LidarScan(np.array(ranges), theta, 2.0 * math.pi / n,
+                      MAX_RANGE, 0)
+    belief = ObstacleBelief.from_scan(sweep, x, y)
+    return Pose2D(x, y, theta), low, belief, bounds
 
 
 def full_clearance(pose, low, points, bounds):
@@ -151,7 +137,8 @@ class TestDiscApproval:
     def test_far_motion_reports_its_bound(self):
         low = LowCommand(1, 2, LowKind.SET_WHEELS, 0.4, 0.5, 1)
         v = safety_check(low, Pose2D(0.0, 0.0, 0.3),
-                         ObstacleBelief(np.array([(3.0, 0.0)]), 0),
+                         ObstacleBelief(np.array([(3.0, 0.0)]), 0,
+                                        (0.0, 0.0), 3.0),
                          Rect(-4.0, -4.0, 4.0, 4.0), ROBOT, PARAMS, 0,
                          PHYSICS_DT)
         length = travel_bound(0.4, 0.5, PHYSICS_DT, ROBOT, PARAMS.dt_pred)
@@ -160,6 +147,20 @@ class TestDiscApproval:
         assert v.predicted_min_clearance == pytest.approx(
             3.0 - ROBOT.radius - length, abs=1e-9)
         assert v.predicted_min_clearance < 3.0 - ROBOT.radius - length
+
+    @pytest.mark.parametrize("origin", [None, (1.0, 0.0), (0.0, -1.0)])
+    def test_belief_built_elsewhere_takes_the_full_path(self, origin):
+        # far from everything, so only where the belief was built matters
+        pose = Pose2D(0.0, 0.0, 0.3)
+        low = LowCommand(1, 2, LowKind.SET_WHEELS, 0.4, 0.5, 1)
+        points = np.array([(3.0, 0.0), (-2.5, 1.0)])
+        bounds = Rect(-4.0, -4.0, 4.0, 4.0)
+        v = safety_check(low, pose, ObstacleBelief(points, 0, origin, 2.0),
+                         bounds, ROBOT, PARAMS, 0, PHYSICS_DT)
+        assert v.bound is None
+        assert v.safe and v.reason is VerdictReason.OK
+        assert v.predicted_min_clearance == full_clearance(pose, low, points,
+                                                           bounds)
 
 
 def test_generated_cases_keep_the_full_verdicts(monkeypatch):
