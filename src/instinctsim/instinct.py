@@ -328,11 +328,12 @@ def _disc_verdict(
 
     Every sample lies within L (``travel_bound``) of the pose, so no sample
     is nearer a belief point, or the bounds, than the pose's own distance
-    minus L. It is read only as the reach of a belief built at this pose;
-    any other belief gets None. ``eps`` covers rounding in the samples and in the distances
-    (``docs/travel_bound.md``). The verdict reports that certified lower
-    bound, which is at most the full check's clearance. A non-finite pose
-    makes ``eps`` NaN or inf, so it never approves.
+    minus L. That distance is read as the reach of a belief built at this
+    pose; any other belief gets None. ``eps`` covers rounding in the
+    samples and in the distances (``docs/travel_bound.md``). The verdict
+    reports that certified lower bound, which is at most the full check's
+    clearance. A non-finite pose makes ``eps`` NaN or inf, so it never
+    approves.
     """
     x, y = pose.x, pose.y
     if belief.origin != (x, y):

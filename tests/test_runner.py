@@ -400,15 +400,13 @@ class TestCli:
         if write:
             assert trace_out.read_text().count("\n") > 400
 
-    def test_empty_trace_path_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, what", [("--trace-out", "trace"),
+                                            ("--metrics-out", "metrics")])
+    def test_empty_output_path_is_an_error(self, tmp_path, capsys, flag,
+                                           what):
         path = self.scenario_file(tmp_path)
-        assert cli_main(["--scenario", str(path), "--trace-out", ""]) == 1
-        assert "cannot write trace" in capsys.readouterr().err
-
-    def test_empty_metrics_path_is_an_error(self, tmp_path, capsys):
-        path = self.scenario_file(tmp_path)
-        assert cli_main(["--scenario", str(path), "--metrics-out", ""]) == 1
-        assert "cannot write metrics" in capsys.readouterr().err
+        assert cli_main(["--scenario", str(path), flag, ""]) == 1
+        assert f"cannot write {what}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--ticks", "-1"], "scenario.ticks must be >= 0"),
