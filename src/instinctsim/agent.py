@@ -30,11 +30,9 @@ from .messages import (
     MalformedCommandError,
     N_SECTORS,
     ScanSummary,
-    sector_angle,
-    sector_index,
 )
 from .trace import TraceRecorder
-from .world import Rect, wrap_angle
+from .world import Rect
 
 # Reflection, detour and completion tunables of the rule planner.
 BLOCKED_EXPIRY_TICKS = 400
@@ -111,12 +109,7 @@ def self_reflection(
             cmd = sent_commands.get(fb.command_id)
             if (fb.reason == "OBSTACLE_PREDICTED" and cmd is not None
                     and cmd.route):
-                tx, ty = cmd.route[0]
-                bearing = wrap_angle(
-                    math.atan2(ty - summary.pose.y, tx - summary.pose.x)
-                    - summary.pose.theta
-                )
-                sector = sector_index(bearing)
+                sector = summary.sector_of(*cmd.route[0])
                 notes.blocked_bearings[sector] = now + BLOCKED_EXPIRY_TICKS
     return notes
 
@@ -142,10 +135,7 @@ def plan_rule(
     goal = task.goal_point()
     if goal is None:
         return []
-    pose = summary.pose
-    bearing = wrap_angle(math.atan2(goal[1] - pose.y, goal[0] - pose.x)
-                         - pose.theta)
-    desired = sector_index(bearing)
+    desired = summary.sector_of(*goal)
     if desired not in notes.blocked_bearings:
         return [HighCommand(next_id(), HighKind.MOVE_TO, now, (goal,))]
     # detour: nearest fitting unblocked sector by angular distance, then index
@@ -159,10 +149,8 @@ def plan_rule(
     )
     if not candidates:
         return []  # fully boxed in: wait for expiries
-    direction = pose.theta + sector_angle(candidates[0])
-    wx = pose.x + DETOUR_DISTANCE * math.cos(direction)
-    wy = pose.y + DETOUR_DISTANCE * math.sin(direction)
-    return [HighCommand(next_id(), HighKind.MOVE_TO, now, ((wx, wy),),
+    waypoint = summary.toward(candidates[0], DETOUR_DISTANCE)
+    return [HighCommand(next_id(), HighKind.MOVE_TO, now, (waypoint,),
                         speed=DETOUR_SPEED)]
 
 
@@ -174,7 +162,6 @@ def hallucinate_wrap(
     bounds: Rect,
     robot: RobotParams,
     now: int,
-    lidar_max_range: float = 5.0,
 ) -> list[tuple[HighCommand, HighCommand | None]]:
     """Independently replace each command with an adversarial one at the
     given seeded rate. Returns (command, original-if-replaced) pairs.
@@ -182,7 +169,7 @@ def hallucinate_wrap(
     Replacements stay wire-valid (finite targets, legal speed) so only the
     safety layer can tell them apart from honest plans: a drive into an
     occupied direction, a target far outside the bounds, or a full-speed
-    run at the nearest obstacle.
+    run at the nearest obstacle (``ScanSummary.occupied`` sectors).
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
@@ -192,7 +179,7 @@ def hallucinate_wrap(
             out.append((cmd, None))
             continue
         replacement = _adversarial_command(cmd, rng, summary, bounds,
-                                           robot, now, lidar_max_range)
+                                           robot, now)
         out.append((replacement, cmd))
     return out
 
@@ -204,25 +191,18 @@ def _adversarial_command(
     bounds: Rect,
     robot: RobotParams,
     now: int,
-    lidar_max_range: float,
 ) -> HighCommand:
-    occupied: list[int] = []
-    if summary is not None:
-        occupied = [k for k in range(N_SECTORS)
-                    if summary.sector_min[k] < lidar_max_range - 1e-9]
+    occupied = summary.occupied() if summary is not None else []
     mode = rng.choice(("into_obstacle", "out_of_bounds", "flank_speed"))
-    if mode != "out_of_bounds" and summary is not None and occupied:
+    if mode != "out_of_bounds" and occupied:
         if mode == "into_obstacle":
             sector = rng.choice(occupied)
             speed = None
         else:  # flank_speed at the nearest occupied sector
             sector = min(occupied, key=lambda k: summary.sector_min[k])
             speed = robot.v_wheel_max
-        reach = summary.sector_min[sector] + 0.5
-        direction = summary.pose.theta + sector_angle(sector)
-        return HighCommand(cmd.id, HighKind.MOVE_TO, now,
-                           ((summary.pose.x + reach * math.cos(direction),
-                             summary.pose.y + reach * math.sin(direction)),),
+        target = summary.toward(sector, summary.sector_min[sector] + 0.5)
+        return HighCommand(cmd.id, HighKind.MOVE_TO, now, (target,),
                            speed=speed)
     # far out of bounds but still finite
     span = max(bounds.x1 - bounds.x0, bounds.y1 - bounds.y0)
@@ -395,7 +375,6 @@ class DecisionAgent:
         bounds: Rect,
         hallucination_rng: random.Random | None = None,
         llm: LlmBackend | None = None,
-        lidar_max_range: float = 5.0,
     ) -> None:
         if params.backend not in BACKENDS:
             raise ValueError(f"unknown backend: {params.backend}")
@@ -409,7 +388,6 @@ class DecisionAgent:
         self.bounds = bounds
         self.hallucination_rng = hallucination_rng or random.Random(0)
         self.llm = llm
-        self.lidar_max_range = lidar_max_range
         self.tasks: list[Task] = []
         self.notes = ReflectionNote()
         self.summary: ScanSummary | None = None
@@ -494,8 +472,7 @@ class DecisionAgent:
             return hallucinate_wrap(planned,
                                     self.params.hallucination_probability,
                                     self.hallucination_rng, self.summary,
-                                    self.bounds, self.robot, now,
-                                    self.lidar_max_range)
+                                    self.bounds, self.robot, now)
         return [(cmd, None) for cmd in planned]
 
     def _plan_llm(self, task: Task, now: int) -> list[HighCommand]:

@@ -70,6 +70,7 @@ from .messages import (
     ScanSummary,
     VerdictReason,
     sector_angle,
+    sector_index,
 )
 from .trace import TraceRecorder
 from .world import (
@@ -97,14 +98,15 @@ class _BeamGeometry(NamedTuple):
 def _beam_geometry(n_beams: int) -> _BeamGeometry:
     rel = np.arange(n_beams) * (2.0 * math.pi / n_beams)
     rel = np.mod(rel + math.pi, 2.0 * math.pi) - math.pi
-    sector = np.round(rel / (2.0 * math.pi / N_SECTORS)).astype(int) % N_SECTORS
+    bearing = rel.tolist()
+    sector = np.array([sector_index(b) for b in bearing])
     order = np.argsort(sector, kind="stable")
     counts = np.bincount(sector, minlength=N_SECTORS)
     starts = (np.cumsum(counts) - counts)[counts > 0]
     front = np.flatnonzero(np.abs(rel) <= math.pi / 4.0 + 1e-12)
     for a in (order, starts, front):
         a.flags.writeable = False
-    return _BeamGeometry(rel.tolist(), order, starts,
+    return _BeamGeometry(bearing, order, starts,
                          tuple(np.flatnonzero(counts == 0).tolist()), front)
 
 
@@ -124,6 +126,7 @@ def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
     nearest_idx = int(ranges.argmin())
     return ScanSummary(
         sector_min=tuple(mins),
+        max_range=scan.max_range,
         nearest_bearing=g.bearing[nearest_idx],
         nearest_range=float(ranges[nearest_idx]),
         pose=state.pose,
@@ -489,10 +492,9 @@ def roam_intent(
     rng: random.Random,
     robot: RobotParams,
     params: InstinctParams,
-    max_range: float,
 ) -> tuple[float, float]:
     """Seeded random arc biased away from the nearest occupied sector."""
-    occupied = [k for k in range(N_SECTORS) if summary.sector_min[k] < max_range]
+    occupied = summary.occupied()
     if occupied:
         nearest = min(occupied, key=lambda k: summary.sector_min[k])
         away = wrap_angle(sector_angle(nearest) + math.pi)
@@ -562,11 +564,8 @@ class InstinctController:
         self._low_id += 1
         return self._low_id
 
-    def _emit(self, layer: str, kind: str, payload: dict) -> None:
-        self.recorder.emit(layer, kind, payload)
-
     def _send_feedback(self, fb: Feedback) -> None:
-        self._emit("INSTINCT", "feedback", fb.to_payload())
+        self.recorder.emit("INSTINCT", "feedback", fb.to_payload())
         self.feedback_channel.transmit(fb, fb.tick)
 
     def device_status(self, state: RobotState, front_min: float
@@ -611,7 +610,8 @@ class InstinctController:
         """
         if self.mode is not Mode.SAFE:
             self.mode = Mode.SAFE
-            self._emit("INSTINCT", "safe_mode_entered", {"reason": reason})
+            self.recorder.emit("INSTINCT", "safe_mode_entered",
+                               {"reason": reason})
         self.safe_streak = 0
         self.device.stop()
         self._cancel_pending(now)
@@ -625,14 +625,13 @@ class InstinctController:
             try:
                 cmd.validate(self.device.robot.v_wheel_max)
             except MalformedCommandError as exc:
-                self._emit("INSTINCT", "command_malformed",
-                           {"id": cmd.id, "reason": str(exc)})
-                verdict = SafetyVerdict(False, -math.inf,
-                                        VerdictReason.LIMIT_EXCEEDED)
+                self.recorder.emit("INSTINCT", "command_malformed",
+                                   {"id": cmd.id, "reason": str(exc)})
                 self._send_feedback(Feedback(cmd.id, FeedbackStatus.REFUSED,
-                                             "MALFORMED", now, verdict))
+                                             "MALFORMED", now))
                 continue
-            self._emit("INSTINCT", "command_received", cmd.to_payload())
+            self.recorder.emit("INSTINCT", "command_received",
+                               cmd.to_payload())
             if holding:
                 status, reason = FeedbackStatus.SAFE_MODE, "SAFE_MODE"
             else:
@@ -648,9 +647,9 @@ class InstinctController:
                                device.world.bounds, device.robot, self.params,
                                now, self.physics_dt)
         parent = "SURVIVAL" if low.parent_id is None else low.parent_id
-        self._emit("INSTINCT", "verdict", {"low_id": low.id,
-                                           "parent_id": parent,
-                                           **verdict.to_payload()})
+        self.recorder.emit("INSTINCT", "verdict", {"low_id": low.id,
+                                                   "parent_id": parent,
+                                                   **verdict.to_payload()})
         if verdict.safe:
             self._execute(low, parent)
         return verdict
@@ -658,15 +657,15 @@ class InstinctController:
     def _execute(self, low: LowCommand, parent: int | str) -> None:
         if low.kind is LowKind.SET_WHEELS:
             self.device.set_wheel_command(low.v_left, low.v_right)
-            self._emit("DEVICE", "exec_wheels", {
+            self.recorder.emit("DEVICE", "exec_wheels", {
                 "low_id": low.id, "parent_id": parent,
                 "v_left": low.v_left, "v_right": low.v_right,
                 "duration_ticks": low.duration_ticks,
             })
         else:  # STOP_ALL
             self.device.stop()
-            self._emit("DEVICE", "exec_stop", {"low_id": low.id,
-                                               "parent_id": parent})
+            self.recorder.emit("DEVICE", "exec_stop", {"low_id": low.id,
+                                                       "parent_id": parent})
 
     # -- the tick ----------------------------------------------------------
 
@@ -684,7 +683,7 @@ class InstinctController:
 
         # (2) device status
         safe, reason = self.device_status(state, front_min)
-        self._emit("INSTINCT", "status", {
+        self.recorder.emit("INSTINCT", "status", {
             "safe": safe, "reason": reason, "mode": self.mode.value,
             "front_min": front_min,
         })
@@ -702,7 +701,7 @@ class InstinctController:
             self.safe_streak += 1
             if self.safe_streak >= self.params.safe_hold_ticks:
                 self.mode = Mode.NORMAL
-                self._emit("INSTINCT", "safe_mode_exited", {})
+                self.recorder.emit("INSTINCT", "safe_mode_exited", {})
             else:
                 self.device.stop()
             self._poll_commands(now, holding=True)
@@ -712,11 +711,11 @@ class InstinctController:
         # (4) survival tasks: speed governor and idle roaming
         scale = self.governor_scale(front_min)
         if scale < 1.0:
-            self._emit("INSTINCT", "governor", {"scale": scale,
-                                                "front_min": front_min})
+            self.recorder.emit("INSTINCT", "governor",
+                               {"scale": scale, "front_min": front_min})
         executed_motion = False
         if self.params.roaming and self.active is None and not self.queue:
-            executed_motion = self._roam(scan, scale, now)
+            executed_motion = self._roam(scale, now)
 
         # (5) poll high commands; adopt the next one FIFO
         self._poll_commands(now, holding=False)
@@ -764,6 +763,7 @@ class InstinctController:
         state = self.device.state
         return ScanSummary(
             sector_min=p.sector_min,
+            max_range=self.device.lidar.max_range,
             nearest_bearing=p.nearest_bearing,
             nearest_range=p.nearest_range,
             pose=state.pose,
@@ -772,9 +772,9 @@ class InstinctController:
             tick=now,
         )
 
-    def _roam(self, scan: LidarScan, scale: float, now: int) -> bool:
+    def _roam(self, scale: float, now: int) -> bool:
         vl, vr = roam_intent(self._summary(now), self.roam_rng,
-                             self.device.robot, self.params, scan.max_range)
+                             self.device.robot, self.params)
         low = LowCommand(self._next_low_id(), None, LowKind.SET_WHEELS,
                          vl * scale, vr * scale)
         return self._vet(low, now).safe

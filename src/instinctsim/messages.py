@@ -203,11 +203,14 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class ScanSummary:
-    """The simplified sensor view the agent receives: eight 45-degree sector
-    minima in the robot frame (sector 0 centered on the heading), the
-    nearest return, and the robot's own estimate of its state."""
+    """The simplified sensor view the agent receives, and the owner of its
+    sector frame: eight 45-degree sector minima in the robot frame (sector
+    0 centered on the heading), the lidar's range (a minimum at it is no
+    return), the nearest return, and the robot's own estimate of its state.
+    """
 
     sector_min: tuple[float, ...]
+    max_range: float
     nearest_bearing: float
     nearest_range: float
     pose: Pose2D
@@ -215,9 +218,28 @@ class ScanSummary:
     mode: Mode
     tick: int
 
+    def occupied(self) -> list[int]:
+        """Sectors with a return, ascending: a minimum below max_range."""
+        return [k for k in range(N_SECTORS)
+                if self.sector_min[k] < self.max_range]
+
+    def sector_of(self, x: float, y: float) -> int:
+        """Sector holding the bearing from the pose to world point (x, y)."""
+        pose = self.pose
+        return sector_index(wrap_angle(
+            math.atan2(y - pose.y, x - pose.x) - pose.theta))
+
+    def toward(self, sector: int, distance: float) -> tuple[float, float]:
+        """World point ``distance`` from the pose along a sector's center."""
+        pose = self.pose
+        direction = pose.theta + sector_angle(sector)
+        return (pose.x + distance * math.cos(direction),
+                pose.y + distance * math.sin(direction))
+
     def to_payload(self) -> dict:
         return {
             "sector_min": list(self.sector_min),
+            "max_range": self.max_range,
             "nearest_bearing": self.nearest_bearing,
             "nearest_range": self.nearest_range,
             "pose": [self.pose.x, self.pose.y, self.pose.theta],
@@ -227,12 +249,11 @@ class ScanSummary:
         }
 
 
-def sector_index(bearing: float, n_sectors: int = N_SECTORS) -> int:
-    """Sector of a robot-frame bearing; sector k is centered at k * (2pi/n)."""
-    width = 2.0 * math.pi / n_sectors
-    return int(round(bearing / width)) % n_sectors
+def sector_index(bearing: float) -> int:
+    """Sector of a robot-frame bearing; sector k is centered at k * (2pi/8)."""
+    return int(round(bearing / (2.0 * math.pi / N_SECTORS))) % N_SECTORS
 
 
-def sector_angle(index: int, n_sectors: int = N_SECTORS) -> float:
+def sector_angle(index: int) -> float:
     """Robot-frame bearing of a sector center, wrapped to (-pi, pi]."""
-    return wrap_angle(index * 2.0 * math.pi / n_sectors)
+    return wrap_angle(index * 2.0 * math.pi / N_SECTORS)

@@ -30,8 +30,8 @@ from .world import DeviceSim, RobotState
 @dataclass
 class Runtime:
     """Everything one run needs, fully built from a scenario, and the loop
-    state both run modes advance: tasks issued so far, the collision latch,
-    the instinct tick times and the tick the agent died at (if any)."""
+    state both run modes advance: tasks issued so far, the instinct tick
+    times and the tick the agent died at (if any)."""
 
     scenario: Scenario
     device: DeviceSim
@@ -41,7 +41,6 @@ class Runtime:
     task_channel: Channel
     death_tick: int | None = None
     issued: int = 0
-    collided: bool = False
     tick_times: list[int] = field(default_factory=list)
 
     def agent_alive(self, now: int) -> bool:
@@ -61,6 +60,7 @@ class Runtime:
                 task = Task(self.issued, spec.goal)
                 self.recorder.emit("EXTERNAL", "task_issued", task.to_payload())
                 self.task_channel.transmit(task, now)
+        was_collided = self.device.state.collided
         state = self.device.step(sc.dt)
         self.recorder.emit("DEVICE", "state", {
             "x": state.pose.x, "y": state.pose.y, "theta": state.pose.theta,
@@ -68,10 +68,9 @@ class Runtime:
             "load": state.load, "clearance": self.device.ground_truth_clearance(),
             "collided": state.collided,
         })
-        if state.collided and not self.collided:
+        if state.collided and not was_collided:
             self.recorder.emit("DEVICE", "collision",
                                {"x": state.pose.x, "y": state.pose.y})
-        self.collided = state.collided
         t0 = time.perf_counter_ns()
         self.instinct.tick(now)
         self.tick_times.append(time.perf_counter_ns() - t0)
@@ -154,7 +153,6 @@ def build_runtime(
         hallucination_rng=derive_rng(seed, "hallucinate"),
         llm=(LlmBackend(model=scenario.agent.llm_model)
              if scenario.agent.backend == "llm" else None),
-        lidar_max_range=scenario.lidar.max_range,
     )
     return Runtime(scenario, device, instinct, agent, recorder, task_channel,
                    death_tick=scenario.agent.kill_tick)

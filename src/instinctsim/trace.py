@@ -218,7 +218,8 @@ class TraceAuditor:
     * no refused low command is ever executed by a device;
     * every device execution, of a roaming arc or of an agent command, has
       a same-tick prior approval verdict from the instinct layer;
-    * at most one terminal feedback per high command, none after terminal.
+    * no feedback for a high command after its terminal one (each such
+      feedback is one violation; ``finish`` adds none for it).
 
     Refusals are kept for the current tick only, so memory does not grow
     with the primitives of a run. A primitive refused on an earlier tick
@@ -237,7 +238,7 @@ class TraceAuditor:
         self._tick_refused: set[int] = set()
         self._last_verdict_id: int | None = None
         self._received_cmds: set[int] = set()
-        self._terminal_counts: dict[int, int] = {}
+        self._ended: set[int] = set()  # commands with a terminal feedback
 
     def __call__(self, event: TraceEvent) -> None:
         key = (event.tick, event.seq)
@@ -287,16 +288,15 @@ class TraceAuditor:
                 self._received_cmds.add(event.payload["id"])
             elif event.kind == "feedback":
                 cid = event.payload.get("command_id")
-                status = event.payload.get("status")
                 if cid is not None:
-                    seen = self._terminal_counts.get(cid, 0)
-                    if seen:
+                    if cid in self._ended:
                         self.violations.append(
                             f"tick {event.tick}: feedback for command {cid} "
                             f"after terminal status"
                         )
-                    if status in ("COMPLETED", "REFUSED", "SAFE_MODE"):
-                        self._terminal_counts[cid] = seen + 1
+                    elif event.payload.get("status") in (
+                            "COMPLETED", "REFUSED", "SAFE_MODE"):
+                        self._ended.add(cid)
         elif event.layer == "DEVICE" and event.kind in _PRIMITIVE_KINDS:
             low_id = event.payload.get("low_id")
             if low_id in self._tick_refused:
@@ -311,10 +311,7 @@ class TraceAuditor:
 
     def finish(self, allow_in_flight: bool = True) -> list[str]:
         """Final whole-run checks; returns all collected violations."""
-        for cid in sorted(self._received_cmds):
-            count = self._terminal_counts.get(cid, 0)
-            if count > 1:
-                self.violations.append(f"command {cid}: {count} terminal feedbacks")
-            elif count == 0 and not allow_in_flight:
+        if not allow_in_flight:
+            for cid in sorted(self._received_cmds - self._ended):
                 self.violations.append(f"command {cid}: no terminal feedback")
         return self.violations

@@ -49,11 +49,13 @@ ROBOT = RobotParams()
 BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
 
 
-def make_summary(pose=Pose2D(0, 0, 0), sector_min=None, tick=0):
-    sectors = tuple(sector_min) if sector_min else tuple([5.0] * 8)
+def make_summary(pose=Pose2D(0, 0, 0), sector_min=None, tick=0,
+                 max_range=5.0):
+    sectors = tuple(sector_min) if sector_min else tuple([max_range] * 8)
     nearest = min(range(8), key=lambda k: sectors[k])
     return ScanSummary(
         sector_min=sectors,
+        max_range=max_range,
         nearest_bearing=nearest * math.pi / 4.0,
         nearest_range=sectors[nearest],
         pose=pose,
@@ -219,6 +221,44 @@ class TestHallucinateWrap:
                                BOUNDS, ROBOT, 0)
         for cmd, _ in out:
             cmd.validate(ROBOT.v_wheel_max)  # must not raise
+
+    def targeted_sectors(self, summary):
+        """Sectors that replacements drive at, over many seeded draws; a
+        target outside the bounds drives at no sector."""
+        hit = set()
+        for seed in range(40):
+            for cmd, _ in hallucinate_wrap(self.plan(), 1.0,
+                                           random.Random(seed), summary,
+                                           BOUNDS, ROBOT, 0):
+                x, y = cmd.route[0]
+                if BOUNDS.x0 <= x <= BOUNDS.x1 and BOUNDS.y0 <= y <= BOUNDS.y1:
+                    hit.add(summary.sector_of(x, y))
+        return hit
+
+    def test_a_sector_at_the_summary_range_is_never_a_target(self):
+        # 3.5 m is the lidar's range: those sectors have no return
+        sectors = [3.5, 1.0, 3.5, 3.5, 2.0, 3.5, 3.5, 3.5]
+        summary = make_summary(sector_min=sectors, max_range=3.5)
+        assert summary.occupied() == [1, 4]
+        assert self.targeted_sectors(summary) == {1, 4}
+        # under a longer range every sector holds a return, and is a target
+        assert self.targeted_sectors(
+            make_summary(sector_min=sectors, max_range=5.0)) == set(range(8))
+
+
+class TestSummaryFrame:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0),
+           theta=st.floats(-math.pi, math.pi), distance=st.floats(0.1, 10.0))
+    def test_toward_lands_in_its_own_sector(self, x, y, theta, distance):
+        summary = make_summary(pose=Pose2D(x, y, theta))
+        for k in range(8):
+            assert summary.sector_of(*summary.toward(k, distance)) == k
+
+    def test_occupied_is_below_the_summary_range(self):
+        sectors = [0.4, 3.5, 3.5 - 1e-12, 3.5, 2.0, 3.5, 3.5, 3.5]
+        assert make_summary(sector_min=sectors,
+                            max_range=3.5).occupied() == [0, 2, 4]
 
 
 _JSON = st.recursive(

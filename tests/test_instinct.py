@@ -96,6 +96,15 @@ class TestSummarize:
         assert s.mode is Mode.SAFE
         assert s.tick == 7
 
+    def test_controller_summary_carries_the_lidar_range(self):
+        stack = make_stack()
+        stack.device.lidar = replace(stack.device.lidar, max_range=3.5)
+        stack.controller.tick(0)
+        (s,) = stack.data.poll(0)
+        assert s.max_range == 3.5
+        assert s.sector_min == (3.5,) * 8  # an empty world returns nothing
+        assert s.occupied() == []
+
 
 class TestFrontMin:
     def test_front_sector_is_plus_minus_45(self):
@@ -521,7 +530,7 @@ class TestRefusal:
         fb = stack.feedback.poll(0)
         assert [f.status for f in fb] == [FeedbackStatus.REFUSED]
         assert fb[0].reason == "MALFORMED"
-        assert fb[0].verdict is not None
+        assert fb[0].verdict is None  # no check vetted it
 
 
 class TestTickContract:

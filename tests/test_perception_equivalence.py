@@ -112,6 +112,7 @@ def reference_summarize(scan_, state, mode):
     nearest_idx = int(np.argmin(scan_.ranges))
     return ScanSummary(
         sector_min=mins,
+        max_range=scan_.max_range,
         nearest_bearing=float(rel[nearest_idx]),
         nearest_range=float(scan_.ranges[nearest_idx]),
         pose=state.pose, load=state.load, mode=mode, tick=scan_.tick,
@@ -260,6 +261,11 @@ class TestScanDigest:
     def _assert_matches_reference(self, scan_):
         got = instinct.summarize(scan_, self.STATE, Mode.SAFE)
         assert got == reference_summarize(scan_, self.STATE, Mode.SAFE)
+        # a sector is occupied iff one of its beams hit (the belief's rule)
+        _, sectors, _ = _reference_beam_geometry(scan_.n_beams)
+        hits = scan_.ranges < scan_.max_range
+        assert got.occupied() == [k for k, idx in enumerate(sectors)
+                                  if hits[idx].any()]
         assert all(type(m) is float for m in got.sector_min)
         assert type(got.nearest_bearing) is float
         assert instinct.front_min_range(scan_) == \

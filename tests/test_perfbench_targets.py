@@ -3,7 +3,10 @@
 not only in the benchmark's own suite."""
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+from instinctsim import instinct, trace
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -22,3 +25,12 @@ def test_every_traced_name_exists():
     missing = [name for name, owner, attr in targets
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_hooked_arguments_keep_their_names():
+    # the count hooks read these arguments by position or else by name
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(instinct.safety_check)[0] == "low"
+    assert params(trace.write_trace)[1] == "path"
