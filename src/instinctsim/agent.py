@@ -158,7 +158,7 @@ def hallucinate_wrap(
     commands: list[HighCommand],
     probability: float,
     rng: random.Random,
-    summary: ScanSummary | None,
+    summary: ScanSummary,
     bounds: Rect,
     robot: RobotParams,
     now: int,
@@ -187,12 +187,12 @@ def hallucinate_wrap(
 def _adversarial_command(
     cmd: HighCommand,
     rng: random.Random,
-    summary: ScanSummary | None,
+    summary: ScanSummary,
     bounds: Rect,
     robot: RobotParams,
     now: int,
 ) -> HighCommand:
-    occupied = summary.occupied() if summary is not None else []
+    occupied = summary.occupied()
     mode = rng.choice(("into_obstacle", "out_of_bounds", "flank_speed"))
     if mode != "out_of_bounds" and occupied:
         if mode == "into_obstacle":
@@ -373,7 +373,7 @@ class DecisionAgent:
         robot: RobotParams,
         params: AgentParams,
         bounds: Rect,
-        hallucination_rng: random.Random | None = None,
+        hallucination_rng: random.Random,
         llm: LlmBackend | None = None,
     ) -> None:
         if params.backend not in BACKENDS:
@@ -386,7 +386,7 @@ class DecisionAgent:
         self.robot = robot
         self.params = params
         self.bounds = bounds
-        self.hallucination_rng = hallucination_rng or random.Random(0)
+        self.hallucination_rng = hallucination_rng
         self.llm = llm
         self.tasks: list[Task] = []
         self.notes = ReflectionNote()
@@ -493,8 +493,9 @@ class DecisionAgent:
             self.sent_commands.pop(fb.command_id, None)
             if fb.command_id == self.in_flight:
                 self.in_flight = None
-            if task is None:
-                continue
+            if task is None or task.state in (TaskState.COMPLETED,
+                                              TaskState.BLOCKED):
+                continue  # a task ends once
             if fb.status is FeedbackStatus.COMPLETED:
                 self._advance_task(task)
             elif fb.status is FeedbackStatus.REFUSED:

@@ -24,10 +24,13 @@ Perception is computed once per scan: the belief points, the front minimum
 and the eight-sector digest are derived when a scan arrives, and every
 summary sent in that tick (roaming, the end-of-tick report) reuses the
 digest with the device's current pose and load and the layer's own mode.
-While the robot stands still a noise-free device returns scans sharing one
-read-only ranges array (see ``DeviceSim``); such a scan reuses the previous
-belief points, front minimum and digest, and only the belief's
-``built_tick`` advances. Shared arrays are read-only.
+Where a sweep was cast and how its beams lie is the scan's own
+(``LidarScan.origin``, ``world.beam_offsets``), so the belief lands where
+its sweep was cast, whatever the pose is now. While the robot stands still
+a noise-free device returns scans sharing one read-only ranges array (see
+``DeviceSim``); such a scan reuses the previous belief points, front
+minimum and digest, and only the belief's ``built_tick`` advances. Shared
+arrays are read-only.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
@@ -80,6 +83,7 @@ from .world import (
     Pose2D,
     Rect,
     RobotState,
+    beam_offsets,
     wrap_angle,
 )
 
@@ -96,8 +100,7 @@ class _BeamGeometry(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _beam_geometry(n_beams: int) -> _BeamGeometry:
-    rel = np.arange(n_beams) * (2.0 * math.pi / n_beams)
-    rel = np.mod(rel + math.pi, 2.0 * math.pi) - math.pi
+    rel = np.mod(beam_offsets(n_beams) + math.pi, 2.0 * math.pi) - math.pi
     bearing = rel.tolist()
     sector = np.array([sector_index(b) for b in bearing])
     order = np.argsort(sector, kind="stable")
@@ -147,9 +150,9 @@ class ObstacleBelief:
 
     The layer never sees ground truth; these points (plus the configured
     bounds) are all the predictive check may consult. Memoryless per scan.
-    A belief built from a scan also keeps the scan's origin and its nearest
-    hit range (inf without hits): from that origin, the nearest point lies
-    at that range up to rounding.
+    A belief built from a scan also keeps the (x, y) of the scan's origin
+    and its nearest hit range (inf without hits): from that origin, the
+    nearest point lies at that range up to rounding.
     """
 
     points: np.ndarray  # (K, 2) world-frame endpoints of beams that hit
@@ -158,15 +161,15 @@ class ObstacleBelief:
     reach: float = math.inf
 
     @classmethod
-    def from_scan(cls, scan: LidarScan, origin_x: float, origin_y: float
-                  ) -> "ObstacleBelief":
+    def from_scan(cls, scan: LidarScan) -> "ObstacleBelief":
         ranges = scan.ranges
         idx = (ranges < scan.max_range).nonzero()[0]
         points = np.empty((idx.shape[0], 2))
         np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
-        points += (origin_x, origin_y)
+        origin = (scan.origin.x, scan.origin.y)
+        points += origin
         reach = float(ranges.min()) if idx.shape[0] else math.inf
-        return cls(points, scan.tick, (origin_x, origin_y), reach)
+        return cls(points, scan.tick, origin, reach)
 
 
 def predict_trajectory(
@@ -512,11 +515,10 @@ def roam_intent(
 class _Percept(NamedTuple):
     """What the controller derived from one distinct ranges array."""
 
-    ranges: np.ndarray
-    pose: Pose2D  # where the scan was cast
+    scan: LidarScan
     belief: ObstacleBelief  # its points read-only
     front_min: float
-    sector_min: tuple[float, ...]  # the digest of ``ranges``
+    sector_min: tuple[float, ...]  # the digest of ``scan``
     nearest_bearing: float
     nearest_range: float
 
@@ -539,7 +541,7 @@ class InstinctController:
         recorder: TraceRecorder,
         params: InstinctParams,
         physics_dt: float,
-        roam_rng: random.Random | None = None,
+        roam_rng: random.Random,
     ) -> None:
         self.device = device
         self.command_channel = command_channel
@@ -548,7 +550,7 @@ class InstinctController:
         self.recorder = recorder
         self.params = params
         self.physics_dt = physics_dt
-        self.roam_rng = roam_rng or random.Random(0)
+        self.roam_rng = roam_rng
         self.belief: ObstacleBelief | None = None
         self.active: _ActiveCommand | None = None
         self.queue: deque[HighCommand] = deque()
@@ -733,24 +735,25 @@ class InstinctController:
         self._send_data(now)
 
     def _perceive(self, scan: LidarScan, state: RobotState) -> float:
-        """Set this tick's belief and return front_min.
+        """Set this tick's belief from the scan, at the scan's origin, and
+        return front_min.
 
         Belief points, front_min and the sector digest are derived once per
-        distinct scan. A scan sharing the previous ranges array at the same
-        pose (the device's stationary reuse) reuses them; only the belief is
-        re-stamped with this scan's tick, so staleness works as before.
+        distinct scan. A scan sharing the previous ranges array (the
+        device's stationary reuse, which shares it only between sweeps of
+        one origin) reuses them; only the belief is re-stamped with this
+        scan's tick, so staleness works as before.
         """
         p = self._percept
-        if (p is not None and p.ranges is scan.ranges
-                and p.pose == state.pose):
+        if p is not None and p.scan.ranges is scan.ranges:
             b = p.belief
             self.belief = ObstacleBelief(b.points, scan.tick, b.origin, b.reach)
             return p.front_min
-        belief = ObstacleBelief.from_scan(scan, state.pose.x, state.pose.y)
+        belief = ObstacleBelief.from_scan(scan)
         belief.points.flags.writeable = False  # shared by later beliefs
         self.belief = belief
         digest = summarize(scan, state, self.mode)
-        p = _Percept(scan.ranges, state.pose, belief, front_min_range(scan),
+        p = _Percept(scan, belief, front_min_range(scan),
                      digest.sector_min, digest.nearest_bearing,
                      digest.nearest_range)
         self._percept = p
@@ -763,7 +766,7 @@ class InstinctController:
         state = self.device.state
         return ScanSummary(
             sector_min=p.sector_min,
-            max_range=self.device.lidar.max_range,
+            max_range=p.scan.max_range,
             nearest_bearing=p.nearest_bearing,
             nearest_range=p.nearest_range,
             pose=state.pose,

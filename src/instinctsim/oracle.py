@@ -68,7 +68,7 @@ def gen_scenario(
             break
     start = Pose2D(x, y, rng.uniform(-math.pi, math.pi))
     sweep = scan(world, start, lidar.beams, lidar.max_range, tick=0)
-    belief = ObstacleBelief.from_scan(sweep, start.x, start.y)
+    belief = ObstacleBelief.from_scan(sweep)
     roll = rng.random()
     if roll < 0.10:
         command = LowCommand(1, None, LowKind.STOP_ALL)

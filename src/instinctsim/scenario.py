@@ -299,7 +299,6 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 def random_scenario(
     seed: int,
-    n_obstacles: tuple[int, int] = (3, 8),
     backend: str = "hallucinate",
     hallucination_probability: float = 0.3,
     ticks: int = 2000,
@@ -307,7 +306,7 @@ def random_scenario(
     kill_tick: int | None = None,
     min_separation: float = 2.0,
 ) -> Scenario:
-    """Seeded scenario: obstacles, a clear start, and one GOTO task.
+    """Seeded scenario: 3-8 obstacles, a clear start, and one GOTO task.
 
     Start and goal keep at least 0.5 m of ground-truth clearance and at
     least ``min_separation`` between them, so every generated run begins in
@@ -315,7 +314,7 @@ def random_scenario(
     before a mid-run event such as an agent kill).
     """
     rng = random.Random(seed)
-    world = random_world(rng, n_obstacles)
+    world = random_world(rng, (3, 8))
     bounds = world.bounds
 
     def clear_point() -> tuple[float, float]:

@@ -13,6 +13,8 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .messages import TERMINAL_STATUSES
+
 # Instinct-tick phases for the ordering audit. Survival work (status check,
 # safe mode, governor, roaming) must precede command handling within a tick.
 # A primitive's verdict and execution take the phase of its parent: survival
@@ -21,6 +23,8 @@ _SURVIVAL_KINDS = {"status", "safe_mode_entered", "safe_mode_exited",
                    "governor"}
 _COMMAND_KINDS = {"command_received", "command_malformed"}
 _PRIMITIVE_KINDS = {"verdict", "exec_wheels", "exec_stop"}
+# Feedback statuses after which no feedback may name the command again.
+_TERMINAL = frozenset(status.value for status in TERMINAL_STATUSES)
 
 # One encoder for every event: ``json.dumps(obj, sort_keys=True)`` builds a
 # new JSONEncoder per call, and this one writes the same bytes.
@@ -294,8 +298,7 @@ class TraceAuditor:
                             f"tick {event.tick}: feedback for command {cid} "
                             f"after terminal status"
                         )
-                    elif event.payload.get("status") in (
-                            "COMPLETED", "REFUSED", "SAFE_MODE"):
+                    elif event.payload.get("status") in _TERMINAL:
                         self._ended.add(cid)
         elif event.layer == "DEVICE" and event.kind in _PRIMITIVE_KINDS:
             low_id = event.payload.get("low_id")

@@ -150,8 +150,9 @@ class RobotState:
 
 @dataclass(frozen=True, eq=False)
 class LidarScan:
-    """One sweep: beam i points at ``angle_min + i * angle_increment`` (world
-    frame); a beam that hits nothing reports exactly ``max_range``.
+    """One sweep cast from ``origin``: beam i points at ``origin.theta +
+    beam_offsets(n)[i]`` (world frame); a beam that hits nothing reports
+    exactly ``max_range``.
 
     ``directions`` holds each beam's unit direction as ``unit_directions``
     gives it, (2, n) and read-only. ``scan`` passes the directions it cast
@@ -159,16 +160,15 @@ class LidarScan:
     """
 
     ranges: np.ndarray
-    angle_min: float
-    angle_increment: float
+    origin: Pose2D
     max_range: float
     tick: int
     directions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.directions is None:
-            d = unit_directions(self.angle_min + self.angle_increment
-                                * np.arange(len(self.ranges)))
+            d = unit_directions(self.origin.theta
+                                + beam_offsets(len(self.ranges)))
             d.flags.writeable = False
             object.__setattr__(self, "directions", d)
 
@@ -271,8 +271,9 @@ def ray_distances(
 
 
 @functools.lru_cache(maxsize=32)
-def _beam_offsets(n_beams: int) -> np.ndarray:
-    """Beam angles relative to the heading, ``(2*pi / n_beams) * i``."""
+def beam_offsets(n_beams: int) -> np.ndarray:
+    """Beam angles relative to the heading, ``(2*pi / n_beams) * i``; the
+    one beam layout of every sweep. Read-only."""
     offsets = (TWO_PI / n_beams) * np.arange(n_beams)
     offsets.flags.writeable = False
     return offsets
@@ -287,15 +288,14 @@ def scan(
     noise_std: float = 0.0,
     noise_rng: random.Random | None = None,
 ) -> LidarScan:
-    """Full sweep: beam i at pose.theta + i * (2*pi / n_beams).
+    """Full sweep from ``pose``: beam i at pose.theta + beam_offsets[i].
 
     Deterministic by default; optional Gaussian range noise draws from the
     supplied generator so runs stay replayable.
     """
     if n_beams < 4:
         raise ValueError("n_beams must be at least 4")
-    increment = TWO_PI / n_beams
-    directions = unit_directions(pose.theta + _beam_offsets(n_beams))
+    directions = unit_directions(pose.theta + beam_offsets(n_beams))
     directions.flags.writeable = False
     ranges = np.minimum(ray_distances(world, pose.x, pose.y, directions),
                         max_range)
@@ -304,14 +304,7 @@ def scan(
             raise ValueError("noise_std > 0 requires a noise_rng")
         noise = np.array([noise_rng.gauss(0.0, noise_std) for _ in range(n_beams)])
         ranges = np.clip(ranges + noise, 1e-6, max_range)
-    return LidarScan(
-        ranges=ranges,
-        angle_min=pose.theta,
-        angle_increment=increment,
-        max_range=max_range,
-        tick=tick,
-        directions=directions,
-    )
+    return LidarScan(ranges, pose, max_range, tick, directions)
 
 
 def clearance(world: WorldModel, x: float, y: float) -> float:
@@ -381,10 +374,10 @@ class DeviceSim:
     """Device layer: motor with zero-order-hold commands, lidar, encoder.
 
     A noise-free sweep is a pure function of the pose in an immutable world,
-    so while the pose stays equal to that of the previous sweep,
-    ``acquire_scan`` returns a new ``LidarScan`` (with the new tick) that
-    shares the previous sweep's ranges array instead of casting again.
-    Ranges of noise-free sweeps are read-only, because they may be shared.
+    so while the pose equals the ``origin`` of the last noise-free sweep,
+    ``acquire_scan`` returns a copy of that sweep with the new tick, sharing
+    its ranges array instead of casting again. Ranges of noise-free sweeps
+    are read-only, because they may be shared.
     With ``noise_std > 0`` every call casts and draws noise afresh. Likewise
     ``step`` keeps the ground-truth clearance it computed for the collision
     latch, and ``ground_truth_clearance`` returns it while the pose is
@@ -407,7 +400,7 @@ class DeviceSim:
         self.cmd_v_left = 0.0
         self.cmd_v_right = 0.0
         self._clearance: tuple[Pose2D | None, float] = (None, 0.0)
-        self._sweep: tuple[Pose2D | None, LidarScan | None] = (None, None)
+        self._sweep: LidarScan | None = None  # the last noise-free sweep
 
     def set_wheel_command(self, v_left: float, v_right: float) -> None:
         self.cmd_v_left = v_left
@@ -425,22 +418,16 @@ class DeviceSim:
 
     def acquire_scan(self, tick: int) -> LidarScan:
         pose = self.state.pose
-        noisy = self.lidar.noise_std > 0.0
-        last_pose, last = self._sweep
-        if not noisy and last_pose == pose:
-            return replace(last, angle_min=pose.theta, tick=tick)
-        sweep = scan(
-            self.world,
-            pose,
-            self.lidar.beams,
-            self.lidar.max_range,
-            tick=tick,
-            noise_std=self.lidar.noise_std,
-            noise_rng=self.noise_rng,
-        )
+        lidar = self.lidar
+        noisy = lidar.noise_std > 0.0
+        last = self._sweep
+        if not noisy and last is not None and last.origin == pose:
+            return replace(last, tick=tick)
+        sweep = scan(self.world, pose, lidar.beams, lidar.max_range, tick,
+                     lidar.noise_std, self.noise_rng)
         if not noisy:
             sweep.ranges.flags.writeable = False
-            self._sweep = (pose, sweep)
+            self._sweep = sweep
         return sweep
 
     def ground_truth_clearance(self) -> float:

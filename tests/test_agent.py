@@ -43,7 +43,7 @@ from instinctsim.messages import (
 )
 from instinctsim.scenario import Scenario, TaskSpec
 from instinctsim.trace import TraceRecorder
-from instinctsim.world import Pose2D, Rect
+from instinctsim.world import Circle, Pose2D, Rect, WorldModel
 
 ROBOT = RobotParams()
 BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
@@ -549,6 +549,23 @@ class TestAgentTick:
         monkeypatch.setattr(runner, "LlmBackend", lambda model: LlmBackend(
             model=model, url="http://example/llm",
             post=lambda *args, **kwargs: Reply()))
+
+    def test_task_ends_once(self, monkeypatch):
+        # five MOVE_TOs through an obstacle: the instinct layer refuses them
+        # all in one tick, so one feedback batch carries five terminal
+        # REFUSED; the third blocks the task, and the rest must not block
+        # it again
+        self._fixed_llm_reply(monkeypatch, json.dumps(
+            [{"kind": "MOVE_TO", "x": 2.0, "y": 0.0, "speed": 0.5}] * 5))
+        sc = Scenario(ticks=400, agent=AgentParams(backend="llm"),
+                      world=WorldModel(bounds=BOUNDS,
+                                       circles=(Circle(0.9, 0.0, 0.4),)),
+                      tasks=(TaskSpec(0, Goal(GoalKind.GOTO,
+                                              ((3.0, 0.0),))),))
+        events, metrics = runner.run_sim(sc)
+        blocked = [e for e in events if e.kind == "task_blocked"]
+        assert len(blocked) == 1
+        assert metrics.tasks_blocked == 1
 
     def test_null_llm_content_is_a_rejected_plan(self, monkeypatch):
         self._fixed_llm_reply(monkeypatch, None)

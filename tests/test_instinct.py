@@ -27,6 +27,7 @@ from instinctsim.messages import (
     LowKind,
     Mode,
     SafetyVerdict,
+    ScanSummary,
     VerdictReason,
     sector_index,
 )
@@ -50,8 +51,7 @@ BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
 
 def make_scan(ranges, tick=0, theta=0.0, max_range=5.0):
     arr = np.asarray(ranges, dtype=float)
-    return LidarScan(ranges=arr, angle_min=theta,
-                     angle_increment=2.0 * math.pi / len(arr),
+    return LidarScan(ranges=arr, origin=Pose2D(0.0, 0.0, theta),
                      max_range=max_range, tick=tick)
 
 
@@ -218,6 +218,37 @@ class TestRoaming:
         execs = [e for e in stack.recorder.events
                  if e.kind == "exec_wheels" and e.tick == 1]
         assert len(execs) == 1 and execs[0].payload["parent_id"] == 1
+
+    @staticmethod
+    def _roam(occupied, seed):
+        """(v, omega) of ``roam_intent`` for a summary whose sectors in
+        ``occupied`` (sector -> range) hit and the rest read max_range."""
+        sector_min = tuple(occupied.get(k, 5.0) for k in range(8))
+        summary = ScanSummary(sector_min, 5.0, 0.0, min(sector_min),
+                              Pose2D(0.0, 0.0, 0.0), 0.0, Mode.NORMAL, 0)
+        vl, vr = roam_intent(summary, random.Random(seed), ROBOT, PARAMS)
+        assert abs(vl) <= ROBOT.v_wheel_max and abs(vr) <= ROBOT.v_wheel_max
+        return 0.5 * (vl + vr), (vr - vl) / ROBOT.axle
+
+    def test_roam_intent_turns_away_from_the_nearest_return(self):
+        tol = 1e-12
+        for seed in range(200):
+            # an obstacle behind: drive on ahead, near the heading
+            v, omega = self._roam({4: 1.0}, seed)
+            assert 0.2 - tol <= v <= 0.4 + tol
+            assert abs(omega) <= 0.5 + tol
+            # an obstacle ahead: the clear side is behind, so turn at the
+            # clamp and creep at a quarter of the speed
+            v, omega = self._roam({0: 1.0}, seed)
+            assert omega == pytest.approx(PARAMS.omega_max, abs=tol)
+            assert 0.05 - tol <= v <= 0.1 + tol
+            # nothing seen: a free arc at 0.6 of the wheel limit
+            v, omega = self._roam({}, seed)
+            assert v == pytest.approx(0.3, abs=tol)
+            assert abs(omega) <= 0.8 + tol
+            # the nearest occupied sector wins
+            assert (self._roam({0: 2.0, 4: 1.0}, seed)
+                    == self._roam({4: 1.0}, seed))
 
 
 class TestSafeMode:
@@ -580,7 +611,7 @@ class TestObstacleBelief:
         world = WorldModel(bounds=Rect(-10, -10, 10, 10),
                            circles=(Circle(2.0, 0.0, 0.5),))
         sweep = scan(world, Pose2D(0, 0, 0), 36, 5.0, tick=3)
-        belief = ObstacleBelief.from_scan(sweep, 0.0, 0.0)
+        belief = ObstacleBelief.from_scan(sweep)
         assert belief.built_tick == 3
         n_hits = int(np.sum(sweep.ranges < 5.0))
         assert belief.points.shape == (n_hits, 2)
@@ -589,8 +620,33 @@ class TestObstacleBelief:
         front = belief.points[np.argmin(np.abs(belief.points[:, 1]))]
         assert front[0] == pytest.approx(1.5)
 
+    def test_belief_lands_where_its_sweep_was_cast(self):
+        # a device whose sweeps come from 0.5 m ahead of its pose, as an old
+        # sweep would after the robot moved: the belief sits at the sweep's
+        # origin, so the travel bound, which needs a belief built at the
+        # pose, gives way to the full check
+        world = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                           circles=(Circle(3.0, 0.0, 0.5),))
+        stack = make_stack(world=world)
+        sweep = scan(world, Pose2D(0.5, 0.0, 0.0), 36, 5.0)
+        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        stack.command.transmit(
+            HighCommand(1, HighKind.MOVE_TO, 0, ((-2.0, 0.0),)), 0)
+        for now in range(5):
+            stack.controller.tick(now)
+            stack.device.step(PHYSICS_DT)
+            belief = stack.controller.belief
+            assert belief.origin == (0.5, 0.0)
+            assert belief.built_tick == now
+            assert np.array_equal(belief.points,
+                                  ObstacleBelief.from_scan(sweep).points)
+        motions = [e.payload for e in stack.recorder.events
+                   if e.kind == "verdict" and e.payload["parent_id"] == 1]
+        assert motions and all(p["safe"] for p in motions)
+        assert not any("bound" in p for p in motions)
+
     def test_empty_world_empty_belief(self):
         world = WorldModel(bounds=Rect(-10, -10, 10, 10))
         sweep = scan(world, Pose2D(0, 0, 0), 36, 5.0)
-        belief = ObstacleBelief.from_scan(sweep, 0.0, 0.0)
+        belief = ObstacleBelief.from_scan(sweep)
         assert belief.points.shape == (0, 2)

@@ -124,13 +124,13 @@ def reference_front_min_range(scan_):
     return float(scan_.ranges[front].min())
 
 
-def reference_belief_points(scan_, origin_x, origin_y):
+def reference_belief_points(scan_):
     """A boolean mask and ``np.column_stack``."""
     hits = scan_.ranges < scan_.max_range
-    angles = scan_.angle_min + scan_.angle_increment * np.flatnonzero(hits)
+    o = scan_.origin
+    angles = o.theta + (2.0 * math.pi / scan_.n_beams) * np.flatnonzero(hits)
     r = scan_.ranges[hits]
-    return np.column_stack(
-        (origin_x + r * np.cos(angles), origin_y + r * np.sin(angles)))
+    return np.column_stack((o.x + r * np.cos(angles), o.y + r * np.sin(angles)))
 
 
 def _slab(ox, oy, dx, dy, x0, y0, x1, y1):
@@ -249,9 +249,8 @@ def lidar_scans(draw, min_beams=4, max_beams=72):
     value = st.one_of(st.sampled_from([0.3, 1.25, max_range]),
                       st.floats(1e-6, max_range))
     ranges = np.array(draw(st.lists(value, min_size=n, max_size=n)))
-    return LidarScan(ranges=ranges,
-                     angle_min=draw(st.floats(-math.pi, math.pi)),
-                     angle_increment=2.0 * math.pi / n,
+    heading = draw(st.floats(-math.pi, math.pi))
+    return LidarScan(ranges=ranges, origin=Pose2D(0.7, -1.2, heading),
                      max_range=max_range, tick=draw(st.integers(0, 10**6)))
 
 
@@ -270,9 +269,8 @@ class TestScanDigest:
         assert type(got.nearest_bearing) is float
         assert instinct.front_min_range(scan_) == \
             reference_front_min_range(scan_)
-        pose = self.STATE.pose
-        points = instinct.ObstacleBelief.from_scan(scan_, pose.x, pose.y).points
-        want = reference_belief_points(scan_, pose.x, pose.y)
+        points = instinct.ObstacleBelief.from_scan(scan_).points
+        want = reference_belief_points(scan_)
         assert points.shape == want.shape
         assert np.array_equal(points, want)
 
@@ -323,14 +321,12 @@ class TestFusedRayCast:
                                  noise_std=noise_std,
                                  noise_rng=random.Random(1))
                     # the directions a hand-built scan derives from its angles
-                    bare = LidarScan(sweep.ranges, sweep.angle_min,
-                                     sweep.angle_increment, sweep.max_range,
-                                     sweep.tick)
+                    bare = LidarScan(sweep.ranges, sweep.origin,
+                                     sweep.max_range, sweep.tick)
                     assert np.array_equal(sweep.directions, bare.directions)
                     assert not sweep.directions.flags.writeable
-                    points = instinct.ObstacleBelief.from_scan(
-                        sweep, pose.x, pose.y).points
-                    want = reference_belief_points(sweep, pose.x, pose.y)
+                    points = instinct.ObstacleBelief.from_scan(sweep).points
+                    want = reference_belief_points(sweep)
                     assert points.shape == want.shape
                     assert np.array_equal(points, want)
 
@@ -376,8 +372,8 @@ class TestScanReuse:
             second.ranges[0] = 0.0
         fresh = scan(dev.world, dev.state.pose, 36, 5.0, tick=2)
         assert np.array_equal(second.ranges, fresh.ranges)
-        assert (second.angle_min, second.angle_increment, second.max_range) == (
-            fresh.angle_min, fresh.angle_increment, fresh.max_range)
+        assert second.origin == fresh.origin
+        assert second.max_range == fresh.max_range
 
     def test_moving_robot_rescans(self):
         dev = _device()

@@ -81,9 +81,8 @@ def near_threshold_cases(draw):
     if near_point:  # a beam dead ahead, where a straight run heads
         ranges[0 if draw(st.booleans()) else draw(
             st.integers(0, n - 1))] = reach
-    sweep = LidarScan(np.array(ranges), theta, 2.0 * math.pi / n,
-                      MAX_RANGE, 0)
-    belief = ObstacleBelief.from_scan(sweep, x, y)
+    sweep = LidarScan(np.array(ranges), Pose2D(x, y, theta), MAX_RANGE, 0)
+    belief = ObstacleBelief.from_scan(sweep)
     return Pose2D(x, y, theta), low, belief, bounds
 
 

@@ -191,7 +191,7 @@ class TestScan:
         pose = Pose2D(0.3, -0.2, 0.7)
         s = scan(w, pose, 36, 5.0)
         for i in range(36):
-            angle = pose.theta + i * s.angle_increment
+            angle = pose.theta + i * (2.0 * math.pi / 36)
             r = min(beam_distances(w, pose.x, pose.y, np.array([angle]))[0],
                     5.0)
             assert s.ranges[i] == r
@@ -210,7 +210,7 @@ class TestScan:
                 continue
             s = scan(w, pose, 36, 5.0)
             for i in range(36):
-                angle = pose.theta + i * s.angle_increment
+                angle = pose.theta + i * (2.0 * math.pi / 36)
                 px = pose.x + (s.ranges[i] - 1e-6) * math.cos(angle)
                 py = pose.y + (s.ranges[i] - 1e-6) * math.sin(angle)
                 assert clearance(w, px, py) > 0.0
