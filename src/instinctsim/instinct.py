@@ -20,26 +20,31 @@ the verdict says so (``"bound": "disc"``). Every other motion is predicted
 and measured in full, so each verdict's safe flag and reason are those of
 the full check.
 
-Perception is computed once per scan: the belief points, the front minimum
-and the eight-sector digest are derived when a scan arrives, and every
-summary sent in that tick (roaming, the end-of-tick report) reuses the
-digest with the device's current pose and load and the layer's own mode.
-Where a sweep was cast and how its beams lie is the scan's own
-(``LidarScan.origin``, ``world.beam_offsets``), so the belief lands where
-its sweep was cast, whatever the pose is now. While the robot stands still
-a noise-free device returns scans sharing one read-only ranges array (see
-``DeviceSim``); such a scan reuses the previous belief points, front
-minimum and digest, and only the belief's ``built_tick`` advances. Shared
-arrays are read-only.
+Perception is computed once per scan, and only as far as it is read. A
+scan is reduced once when it arrives (``reduce_sweep``): the eight sector
+minima and the front minimum come from one ``np.minimum.reduceat`` over
+the beams grouped by sector with the front beams appended, an index cached
+per beam count, and one ``argmin`` gives the nearest return, whose range is
+also the belief's reach. Every summary sent in that tick (roaming, the
+end-of-tick report) reuses that digest in the frame the sweep was cast in,
+with the device's current load and the layer's own mode. The belief's hit
+points are built on first read, at most once per sweep: only the full
+predictive check reads them, so a tick whose motions the travel bound
+approves never builds them. Where a sweep was cast and how its beams lie
+is the scan's own (``LidarScan.origin``, ``world.beam_offsets``), so the
+belief lands where its sweep was cast, whatever the pose is now. While the
+robot stands still a noise-free device returns scans sharing one ranges
+array (see ``DeviceSim``); such a scan reuses the previous digest and
+belief points, and only the belief's ``built_tick`` advances. Sweeps and
+belief points are read-only, because they are shared and read after the
+tick that cast them.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
-``tests/test_perception_equivalence.py``). The sector minima are one
-``np.minimum.reduceat`` over the beams grouped by sector, cached per beam
-count; a minimum is exact in any order. The belief points are written into
-one preallocated array with the same multiply and add per coordinate,
-from the unit directions the ray cast already computed
-(``LidarScan.directions``).
+``tests/test_perception_equivalence.py``): a minimum is exact in any
+order, and the belief points are written into one preallocated array with
+the same multiply and add per coordinate, from the unit directions the ray
+cast already computed (``LidarScan.directions``).
 ``predict_trajectory`` runs a hold loop, where v, omega and the arc radius
 are computed once because the wheel speeds do not change, then a braking
 loop; each sample takes the same operations in the same order as one loop
@@ -89,13 +94,15 @@ from .world import (
 
 
 class _BeamGeometry(NamedTuple):
-    """Per-beam-count geometry shared by the scan digest functions."""
+    """Per-beam-count geometry of the sweep reduction. ``index`` lists the
+    beams grouped by sector, sectors ascending, then the front group: the
+    beams within +-45 deg of the heading. ``starts`` says where each group
+    begins, non-empty sectors only."""
 
     bearing: list[float]  # each beam's wrapped bearing relative to the heading
-    order: np.ndarray     # beam indices grouped by sector, sectors ascending
-    starts: np.ndarray    # where each non-empty sector's group begins in order
+    index: np.ndarray
+    starts: np.ndarray
     empty: tuple[int, ...]  # sectors without a beam, ascending
-    front: np.ndarray     # indices of the beams within +-45 deg of the heading
 
 
 @functools.lru_cache(maxsize=32)
@@ -106,32 +113,55 @@ def _beam_geometry(n_beams: int) -> _BeamGeometry:
     order = np.argsort(sector, kind="stable")
     counts = np.bincount(sector, minlength=N_SECTORS)
     starts = (np.cumsum(counts) - counts)[counts > 0]
+    # never empty (beam 0 lies dead ahead), as reduceat needs
     front = np.flatnonzero(np.abs(rel) <= math.pi / 4.0 + 1e-12)
-    for a in (order, starts, front):
-        a.flags.writeable = False
-    return _BeamGeometry(bearing, order, starts,
-                         tuple(np.flatnonzero(counts == 0).tolist()), front)
+    index = np.concatenate((order, front))
+    starts = np.append(starts, n_beams)
+    index.flags.writeable = False
+    starts.flags.writeable = False
+    return _BeamGeometry(bearing, index, starts,
+                         tuple(np.flatnonzero(counts == 0).tolist()))
 
 
-def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
-    """Reduce a scan to the eight-sector digest the agent plans from.
+class SweepDigest(NamedTuple):
+    """What the status, the summaries and the belief read of one sweep.
 
     Sector 0 is centered on the heading; a sector with no beams reports
-    max_range (no information reads as no return). The sector minima come
-    from one ``np.minimum.reduceat`` over the beams grouped by sector; a
-    minimum is exact in any order, so they equal per-sector ``min`` calls.
+    max_range (no information reads as no return).
+    """
+
+    sector_min: tuple[float, ...]
+    front_min: float        # minimum return within +-45 deg of the heading
+    nearest_bearing: float  # the nearest return's bearing from the heading
+    nearest_range: float    # and its range (max_range when nothing hit)
+
+
+def reduce_sweep(scan: LidarScan) -> SweepDigest:
+    """Reduce a sweep once: one fancy index groups the beams by sector and
+    appends the front beams, one ``np.minimum.reduceat`` takes every
+    group's minimum, and one ``argmin`` finds the nearest return. A minimum
+    is exact in any order, so these equal per-group ``min`` calls.
     """
     g = _beam_geometry(scan.n_beams)
     ranges = scan.ranges
-    mins = np.minimum.reduceat(ranges[g.order], g.starts).tolist()
+    mins = np.minimum.reduceat(ranges[g.index], g.starts).tolist()
+    front_min = mins.pop()
     for k in g.empty:
         mins.insert(k, scan.max_range)
-    nearest_idx = int(ranges.argmin())
+    nearest = int(ranges.argmin())
+    return SweepDigest(tuple(mins), front_min, g.bearing[nearest],
+                       float(ranges[nearest]))
+
+
+def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
+    """The eight-sector digest the agent plans from, with ``state``'s pose
+    and load and ``mode`` (``reduce_sweep``)."""
+    d = reduce_sweep(scan)
     return ScanSummary(
-        sector_min=tuple(mins),
+        sector_min=d.sector_min,
         max_range=scan.max_range,
-        nearest_bearing=g.bearing[nearest_idx],
-        nearest_range=float(ranges[nearest_idx]),
+        nearest_bearing=d.nearest_bearing,
+        nearest_range=d.nearest_range,
         pose=state.pose,
         load=state.load,
         mode=mode,
@@ -141,10 +171,41 @@ def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
 
 def front_min_range(scan: LidarScan) -> float:
     """Minimum return within +-45 degrees of the heading."""
-    return float(scan.ranges[_beam_geometry(scan.n_beams).front].min())
+    return reduce_sweep(scan).front_min
 
 
-@dataclass(frozen=True)
+class _SweepHits:
+    """The world-frame endpoints of one sweep's hits, built on first read.
+
+    They are built once, read-only, with the same multiply and add per
+    coordinate as an eager build, from the unit directions the ray cast
+    computed (``LidarScan.directions``). The sweep is dropped once they
+    exist.
+    """
+
+    __slots__ = ("_scan", "_points")
+
+    def __init__(self, scan: LidarScan) -> None:
+        self._scan: LidarScan | None = scan
+        self._points: np.ndarray | None = None
+
+    def get(self) -> np.ndarray:
+        points = self._points
+        return self._build() if points is None else points
+
+    def _build(self) -> np.ndarray:
+        scan = self._scan
+        ranges = scan.ranges
+        idx = (ranges < scan.max_range).nonzero()[0]
+        points = np.empty((idx.shape[0], 2))
+        np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
+        points += (scan.origin.x, scan.origin.y)
+        points.flags.writeable = False
+        self._points = points
+        self._scan = None
+        return points
+
+
 class ObstacleBelief:
     """World knowledge of the safety layer: the latest scan's hit endpoints.
 
@@ -153,23 +214,42 @@ class ObstacleBelief:
     A belief built from a scan also keeps the (x, y) of the scan's origin
     and its nearest hit range (inf without hits): from that origin, the
     nearest point lies at that range up to rounding.
+
+    ``points`` are given as an array, or, from a scan, built on first read
+    (``_SweepHits``): only the full predictive check reads them, so a
+    motion the travel bound approves never pays for them. Beliefs restamped
+    from one belief share its points, built or not.
     """
 
-    points: np.ndarray  # (K, 2) world-frame endpoints of beams that hit
-    built_tick: int
-    origin: tuple[float, float] | None = None
-    reach: float = math.inf
+    __slots__ = ("_points", "built_tick", "origin", "reach")
+
+    def __init__(self, points: np.ndarray | _SweepHits, built_tick: int,
+                 origin: tuple[float, float] | None = None,
+                 reach: float = math.inf) -> None:
+        self._points = points  # (K, 2) world-frame endpoints of beams that hit
+        self.built_tick = built_tick
+        self.origin = origin
+        self.reach = reach
+
+    @property
+    def points(self) -> np.ndarray:
+        p = self._points
+        return p.get() if isinstance(p, _SweepHits) else p
 
     @classmethod
-    def from_scan(cls, scan: LidarScan) -> "ObstacleBelief":
-        ranges = scan.ranges
-        idx = (ranges < scan.max_range).nonzero()[0]
-        points = np.empty((idx.shape[0], 2))
-        np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
-        origin = (scan.origin.x, scan.origin.y)
-        points += origin
-        reach = float(ranges.min()) if idx.shape[0] else math.inf
-        return cls(points, scan.tick, origin, reach)
+    def from_scan(cls, scan: LidarScan,
+                  nearest: float | None = None) -> "ObstacleBelief":
+        """The belief of a sweep, at its origin. ``nearest`` is the sweep's
+        least range, for a caller that has reduced the sweep already."""
+        if nearest is None:
+            nearest = float(scan.ranges.min())
+        reach = math.inf if nearest >= scan.max_range else nearest
+        return cls(_SweepHits(scan), scan.tick,
+                   (scan.origin.x, scan.origin.y), reach)
+
+    def restamped(self, tick: int) -> "ObstacleBelief":
+        """This belief as of ``tick``, sharing its points."""
+        return ObstacleBelief(self._points, tick, self.origin, self.reach)
 
 
 def predict_trajectory(
@@ -516,11 +596,8 @@ class _Percept(NamedTuple):
     """What the controller derived from one distinct ranges array."""
 
     scan: LidarScan
-    belief: ObstacleBelief  # its points read-only
-    front_min: float
-    sector_min: tuple[float, ...]  # the digest of ``scan``
-    nearest_bearing: float
-    nearest_range: float
+    belief: ObstacleBelief
+    digest: SweepDigest
 
 
 @dataclass
@@ -677,7 +754,7 @@ class InstinctController:
         # (1) acquire scan + state; rebuild the per-scan belief
         scan = self.device.acquire_scan(now)
         state = self.device.state
-        front_min = self._perceive(scan, state)
+        front_min = self._perceive(scan)
         if state.load >= self.params.overload_threshold:
             self.overload_ticks += 1
         else:
@@ -734,43 +811,39 @@ class InstinctController:
         # (7) summarized data every tick
         self._send_data(now)
 
-    def _perceive(self, scan: LidarScan, state: RobotState) -> float:
+    def _perceive(self, scan: LidarScan) -> float:
         """Set this tick's belief from the scan, at the scan's origin, and
         return front_min.
 
-        Belief points, front_min and the sector digest are derived once per
-        distinct scan. A scan sharing the previous ranges array (the
-        device's stationary reuse, which shares it only between sweeps of
-        one origin) reuses them; only the belief is re-stamped with this
-        scan's tick, so staleness works as before.
+        A distinct scan is reduced once (``reduce_sweep``); its belief
+        points wait for the first full check that reads them. A scan
+        sharing the previous ranges array (the device's stationary reuse,
+        which shares it only between sweeps of one origin) reuses the
+        digest and the belief's points; only the belief is re-stamped with
+        this scan's tick, so staleness works as before.
         """
         p = self._percept
         if p is not None and p.scan.ranges is scan.ranges:
-            b = p.belief
-            self.belief = ObstacleBelief(b.points, scan.tick, b.origin, b.reach)
-            return p.front_min
-        belief = ObstacleBelief.from_scan(scan)
-        belief.points.flags.writeable = False  # shared by later beliefs
-        self.belief = belief
-        digest = summarize(scan, state, self.mode)
-        p = _Percept(scan, belief, front_min_range(scan),
-                     digest.sector_min, digest.nearest_bearing,
-                     digest.nearest_range)
-        self._percept = p
-        return p.front_min
+            self.belief = p.belief.restamped(scan.tick)
+            return p.digest.front_min
+        d = reduce_sweep(scan)
+        self.belief = ObstacleBelief.from_scan(scan, d.nearest_range)
+        self._percept = _Percept(scan, self.belief, d)
+        return d.front_min
 
     def _summary(self, now: int) -> ScanSummary:
-        """The scan's sector digest with the device's current pose and load
-        and the latch's mode (safe-mode handling can change it mid-tick)."""
+        """The scan's sector digest in the frame it was cast in (the scan's
+        origin), with the device's current load and the latch's mode
+        (safe-mode handling can change it mid-tick)."""
         p = self._percept
-        state = self.device.state
+        d = p.digest
         return ScanSummary(
-            sector_min=p.sector_min,
+            sector_min=d.sector_min,
             max_range=p.scan.max_range,
-            nearest_bearing=p.nearest_bearing,
-            nearest_range=p.nearest_range,
-            pose=state.pose,
-            load=state.load,
+            nearest_bearing=d.nearest_bearing,
+            nearest_range=d.nearest_range,
+            pose=p.scan.origin,
+            load=self.device.state.load,
             mode=self.mode,
             tick=now,
         )

@@ -3,8 +3,9 @@
 Both run modes drive the same two steps of a ``Runtime``. ``step(now)``
 issues the tasks due at ``now`` (external layer), steps the device and runs
 the instinct; ``agent_step(now)`` wakes the agent unless it is dead, and an
-exception out of the agent is its death at that tick. Deterministic mode
-calls both on logical ticks inside one thread, the agent at its period.
+exception out of the agent is its death at that tick; a dead agent's inbox
+is drained unread. Deterministic mode calls both on logical ticks inside
+one thread, the agent at its period.
 Live mode calls ``step`` from an instinct thread paced by the wall clock
 and ``agent_step`` from an agent thread; only channels cross threads.
 """
@@ -77,8 +78,14 @@ class Runtime:
 
     def agent_step(self, now: int) -> None:
         """Decision layer at ``now`` unless dead. An exception out of the
-        agent is traced and kills it at ``now``, as ``kill_tick`` would."""
+        agent is traced and kills it at ``now``, as ``kill_tick`` would.
+        A dead agent's inbox is drained: what is due on its task, feedback
+        and data channels is dropped unread, so nothing piles up."""
         if not self.agent_alive(now):
+            agent = self.agent
+            for channel in (agent.task_channel, agent.feedback_channel,
+                            agent.data_channel):
+                channel.poll(now)
             return
         try:
             self.agent.tick(now)

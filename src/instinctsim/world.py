@@ -291,7 +291,8 @@ def scan(
     """Full sweep from ``pose``: beam i at pose.theta + beam_offsets[i].
 
     Deterministic by default; optional Gaussian range noise draws from the
-    supplied generator so runs stay replayable.
+    supplied generator so runs stay replayable. The ranges are read-only:
+    a sweep may be shared, and read after the tick that cast it.
     """
     if n_beams < 4:
         raise ValueError("n_beams must be at least 4")
@@ -304,6 +305,7 @@ def scan(
             raise ValueError("noise_std > 0 requires a noise_rng")
         noise = np.array([noise_rng.gauss(0.0, noise_std) for _ in range(n_beams)])
         ranges = np.clip(ranges + noise, 1e-6, max_range)
+    ranges.flags.writeable = False
     return LidarScan(ranges, pose, max_range, tick, directions)
 
 
@@ -376,8 +378,8 @@ class DeviceSim:
     A noise-free sweep is a pure function of the pose in an immutable world,
     so while the pose equals the ``origin`` of the last noise-free sweep,
     ``acquire_scan`` returns a copy of that sweep with the new tick, sharing
-    its ranges array instead of casting again. Ranges of noise-free sweeps
-    are read-only, because they may be shared.
+    its ranges array instead of casting again (``scan`` makes every sweep's
+    ranges read-only).
     With ``noise_std > 0`` every call casts and draws noise afresh. Likewise
     ``step`` keeps the ground-truth clearance it computed for the collision
     latch, and ``ground_truth_clearance`` returns it while the pose is
@@ -426,7 +428,6 @@ class DeviceSim:
         sweep = scan(self.world, pose, lidar.beams, lidar.max_range, tick,
                      lidar.noise_std, self.noise_rng)
         if not noisy:
-            sweep.ranges.flags.writeable = False
             self._sweep = sweep
         return sweep
 

@@ -105,6 +105,23 @@ class TestSummarize:
         assert s.sector_min == (3.5,) * 8  # an empty world returns nothing
         assert s.occupied() == []
 
+    def test_summary_takes_its_frame_from_the_sweep(self):
+        # a stack at heading pi/2 given a sweep cast at heading 0: the
+        # sectors lie in the sweep's frame, so sector 0 points along +x,
+        # at the circle the sweep saw dead ahead
+        world = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                           circles=(Circle(2.0, 0.0, 0.3),))
+        stack = make_stack(world=world, pose=Pose2D(0.0, 0.0, math.pi / 2))
+        sweep = scan(world, Pose2D(0.0, 0.0, 0.0), 36, 5.0)
+        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        stack.controller.tick(0)
+        (s,) = stack.data.poll(0)
+        assert s.pose == sweep.origin
+        assert s.nearest_bearing == 0.0
+        assert s.sector_min[0] == pytest.approx(1.7)
+        assert s.toward(0, 1.6) == pytest.approx((1.6, 0.0))
+        assert s.sector_of(2.0, 0.0) == 0
+
 
 class TestFrontMin:
     def test_front_sector_is_plus_minus_45(self):

@@ -2,14 +2,18 @@
 references.
 
 The fused ray cast, stationary scan reuse, per-scan perception, the scan
-digest and the lean trajectory kernel must leave every floating-point result
-bit-identical, so each is compared here with ``==`` / ``np.array_equal``
-against a reference that keeps the straightforward form: one obstacle at a
-time, a fresh scan, one ``min`` per sector, the plain sample loop.
+digest, the belief points built on first read and the lean trajectory
+kernel must leave every floating-point result bit-identical, so each is
+compared here with ``==`` / ``np.array_equal`` against a reference that
+keeps the straightforward form: one obstacle at a time, a fresh scan, one
+``min`` per sector, every belief point built when the scan arrives, the
+plain sample loop.
 """
 
 import math
 import random
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from conftest import make_stack
 from instinctsim import instinct
 from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import _trajectory_clearances, predict_trajectory
-from instinctsim.messages import Mode, N_SECTORS, ScanSummary
+from instinctsim.messages import HighCommand, HighKind, Mode, N_SECTORS, ScanSummary
 from instinctsim.scenario import random_scenario
 from instinctsim.world import (
     RAY_T_EPS,
@@ -131,6 +135,23 @@ def reference_belief_points(scan_):
     angles = o.theta + (2.0 * math.pi / scan_.n_beams) * np.flatnonzero(hits)
     r = scan_.ranges[hits]
     return np.column_stack((o.x + r * np.cos(angles), o.y + r * np.sin(angles)))
+
+
+def eager_belief_points(scan_):
+    """Every hit's endpoint built when the scan arrives, into one
+    preallocated array, from the directions the ray cast computed."""
+    ranges = scan_.ranges
+    idx = (ranges < scan_.max_range).nonzero()[0]
+    points = np.empty((idx.shape[0], 2))
+    np.multiply(ranges[idx], scan_.directions[:, idx], out=points.T)
+    points += (scan_.origin.x, scan_.origin.y)
+    return points
+
+
+def reference_reach(scan_):
+    """The nearest hit range, inf without hits."""
+    hits = scan_.ranges[scan_.ranges < scan_.max_range]
+    return float(hits.min()) if hits.size else math.inf
 
 
 def _slab(ox, oy, dx, dy, x0, y0, x1, y1):
@@ -269,10 +290,19 @@ class TestScanDigest:
         assert type(got.nearest_bearing) is float
         assert instinct.front_min_range(scan_) == \
             reference_front_min_range(scan_)
-        points = instinct.ObstacleBelief.from_scan(scan_).points
-        want = reference_belief_points(scan_)
-        assert points.shape == want.shape
-        assert np.array_equal(points, want)
+        # the one reduction the controller runs per sweep
+        d = instinct.reduce_sweep(scan_)
+        assert d == (got.sector_min, reference_front_min_range(scan_),
+                     got.nearest_bearing, got.nearest_range)
+        assert type(d.front_min) is float and type(d.nearest_range) is float
+        for belief in (instinct.ObstacleBelief.from_scan(scan_),
+                       instinct.ObstacleBelief.from_scan(scan_,
+                                                         d.nearest_range)):
+            assert belief.reach == reference_reach(scan_)
+            points = belief.points
+            want = reference_belief_points(scan_)
+            assert points.shape == want.shape
+            assert np.array_equal(points, want)
 
     @settings(max_examples=400, deadline=None)
     @given(scan_=lidar_scans())
@@ -410,13 +440,13 @@ class TestScanReuse:
 
 def _count_summaries(monkeypatch):
     ticks = []
-    original = instinct.summarize
+    original = instinct.reduce_sweep
 
-    def counting(scan_, state, mode):
+    def counting(scan_):
         ticks.append(scan_.tick)
-        return original(scan_, state, mode)
+        return original(scan_)
 
-    monkeypatch.setattr(instinct, "summarize", counting)
+    monkeypatch.setattr(instinct, "reduce_sweep", counting)
     return ticks
 
 
@@ -468,3 +498,85 @@ class TestPerScanPerception:
             assert summary.tick == now
         assert summary.mode.value == "SAFE"
         assert calls == [0]  # the robot never moved: one sweep, one digest
+
+
+# -- belief points built on first read -----------------------------------------
+
+class TestPointsOnDemand:
+    def test_lazy_points_equal_the_eager_build(self):
+        rng = random.Random(3)
+        for n_beams in (4, 36, 37):
+            for noise_std in (0.0, 0.02):
+                for _ in range(40):
+                    world = random_scenario(rng.randrange(2**32)).world
+                    pose = Pose2D(rng.uniform(-3.5, 3.5),
+                                  rng.uniform(-3.5, 3.5),
+                                  rng.uniform(-math.pi, math.pi))
+                    sweep = scan(world, pose, n_beams, 5.0, tick=7,
+                                 noise_std=noise_std,
+                                 noise_rng=random.Random(rng.random()))
+                    belief = instinct.ObstacleBelief.from_scan(sweep)
+                    restamped = belief.restamped(8)
+                    points = restamped.points  # a restamped belief builds
+                    want = eager_belief_points(sweep)
+                    assert points.dtype == want.dtype
+                    assert points.shape == want.shape
+                    assert np.array_equal(points, want)
+                    assert not points.flags.writeable
+                    assert belief.points is points  # built once, shared
+                    assert restamped.built_tick == 8
+                    assert (restamped.origin, restamped.reach) == \
+                        (belief.origin, belief.reach)
+                    assert belief.reach == reference_reach(sweep)
+
+    def test_belief_drops_its_sweep_once_points_exist(self):
+        sweep = scan(random_scenario(1).world, Pose2D(0.0, 0.0, 0.0), 36, 5.0)
+        belief = instinct.ObstacleBelief.from_scan(sweep)
+        alive = weakref.ref(sweep)
+        del sweep
+        assert alive() is not None  # the points are not built yet
+        belief.points
+        assert alive() is None
+
+    def test_only_the_full_check_builds_points_once_per_sweep(
+            self, monkeypatch):
+        builds = []
+        original = instinct._SweepHits._build
+
+        def counting(hits):
+            builds.append(hits._scan.tick)
+            return original(hits)
+
+        monkeypatch.setattr(instinct._SweepHits, "_build", counting)
+        world = WorldModel(bounds=Rect(-4, -4, 4, 4),
+                           circles=(Circle(3.0, 0.0, 0.5),))
+        stack = make_stack(world=world)
+
+        def verdicts(ticks):
+            return [e.payload for e in stack.recorder.events
+                    if e.kind == "verdict" and e.tick in ticks]
+
+        # a turn far from every return: the travel bound approves each
+        # tick's motion, and no sweep builds its points
+        stack.command.transmit(HighCommand(1, HighKind.ROTATE_TO, 0,
+                                           theta=math.pi), 0)
+        for now in range(20):
+            stack.device.step(PHYSICS_DT)
+            stack.controller.tick(now)
+        fast = verdicts(range(20))
+        assert len(fast) == 20
+        assert all(v["safe"] and v["bound"] == "disc" for v in fast)
+        assert builds == []
+        # the turn goes on with sweeps cast 0.5 m from the pose: the belief
+        # is not at the pose, so every check is full; the stationary sweep
+        # builds its points in its first check, and the restamped beliefs
+        # reuse them
+        sweep = scan(world, Pose2D(0.5, 0.0, 0.0), 36, 5.0, tick=20)
+        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        for now in range(20, 30):
+            stack.device.step(PHYSICS_DT)
+            stack.controller.tick(now)
+        full = verdicts(range(20, 30))
+        assert len(full) == 10
+        assert all(v["safe"] and "bound" not in v for v in full)
+        assert builds == [20]

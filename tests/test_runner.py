@@ -14,7 +14,7 @@ from instinctsim.cli import main as cli_main
 from instinctsim.config import AgentParams, InstinctParams
 from instinctsim.messages import Goal, GoalKind
 from instinctsim.oracle import gen_scenario, oracle_safety
-from instinctsim.runner import run_live, run_sim
+from instinctsim.runner import build_runtime, run_live, run_sim
 from instinctsim.scenario import (
     Scenario,
     TaskSpec,
@@ -213,6 +213,23 @@ class TestAgentDropout:
         assert metrics.collisions == 0
         assert auditor.finish() == []
         assert recompute_metrics(trace).replay_dict() == metrics.replay_dict()
+
+    def test_dead_agent_inbox_is_drained(self):
+        # nothing reads a dead agent's channels but the drain: summaries
+        # keep coming every tick, and only the last few may be pending
+        sc = replace(small_scenario(ticks=10_000),
+                     agent=AgentParams(backend="rule", kill_tick=100))
+        rt = build_runtime(sc, store_trace=False)
+        for now in range(sc.ticks):
+            rt.step(now)
+            if now % sc.agent.period_ticks == 0:
+                rt.agent_step(now)
+        agent = rt.agent
+        assert agent.data_channel.pending() <= (sc.agent.period_ticks
+                                                + sc.channels.data_latency)
+        assert agent.feedback_channel.pending() <= (
+            sc.agent.period_ticks + sc.channels.feedback_latency)
+        assert agent.task_channel.pending() == 0
 
     def test_kill_at_zero_equals_no_agent_events(self):
         sc = small_scenario(ticks=200)

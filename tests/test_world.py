@@ -231,6 +231,16 @@ class TestScan:
             s1.ranges, scan(w, Pose2D(0, 0, 0), 36, 5.0).ranges
         )
 
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_sweeps_are_read_only(self, noise_std):
+        # a belief reads its sweep's ranges after the tick that cast it
+        w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.0, 0.5),))
+        s = scan(w, Pose2D(0, 0, 0), 36, 5.0, noise_std=noise_std,
+                 noise_rng=random.Random(11))
+        assert not s.ranges.flags.writeable
+        with pytest.raises(ValueError):
+            s.ranges[0] = 0.0
+
 
 class TestClearance:
     def test_distance_minus_radius(self):
