@@ -69,13 +69,14 @@ def gen_scenario(
     start = Pose2D(x, y, rng.uniform(-math.pi, math.pi))
     sweep = scan(world, start, lidar.beams, lidar.max_range, tick=0)
     belief = ObstacleBelief.from_scan(sweep)
+    points = belief.points  # built now: a kept case holds points, not a sweep
     roll = rng.random()
     if roll < 0.10:
         command = LowCommand(1, None, LowKind.STOP_ALL)
-    elif roll < 0.55 and belief.points.shape[0]:
+    elif roll < 0.55 and points.shape[0]:
         # aim a forward arc near the closest return so the unsafe region is
         # actually exercised, not just sampled by luck
-        deltas = belief.points - (start.x, start.y)
+        deltas = points - (start.x, start.y)
         nearest = int(np.argmin(np.hypot(deltas[:, 0], deltas[:, 1])))
         bearing = math.atan2(deltas[nearest, 1], deltas[nearest, 0])
         err = bearing - start.theta + rng.uniform(-0.4, 0.4)
