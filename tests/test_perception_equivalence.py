@@ -24,7 +24,8 @@ from conftest import make_stack
 from instinctsim import instinct
 from instinctsim.config import InstinctParams, LidarParams, PHYSICS_DT, RobotParams
 from instinctsim.instinct import _trajectory_clearances, predict_trajectory
-from instinctsim.messages import HighCommand, HighKind, Mode, N_SECTORS, ScanSummary
+from instinctsim.messages import (
+    HighCommand, HighKind, Mode, N_SECTORS, ScanSummary)
 from instinctsim.scenario import random_scenario
 from instinctsim.world import (
     RAY_T_EPS,
@@ -500,7 +501,7 @@ class TestPerScanPerception:
         assert calls == [0]  # the robot never moved: one sweep, one digest
 
 
-# -- belief points built on first read -----------------------------------------
+# -- belief points built on first read ----------------------------------------
 
 class TestPointsOnDemand:
     def test_lazy_points_equal_the_eager_build(self):
