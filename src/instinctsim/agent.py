@@ -27,6 +27,7 @@ from .messages import (
     GoalKind,
     HighCommand,
     HighKind,
+    MAX_ROUTE_POINTS,
     MalformedCommandError,
     N_SECTORS,
     ScanSummary,
@@ -42,6 +43,10 @@ DETOUR_FIT_MARGIN = 0.3    # extra range a sector needs beyond the waypoint
 DETOUR_SPEED = 0.15        # cautious cap for post-refusal detours, m/s
 GOAL_TOLERANCE = 0.1       # task-level completion distance, m
 SILENCE_TICKS = 100        # no feedback this long past latencies: command lost
+
+# Caps on one LLM reply, checked before the work they bound.
+MAX_REPLY_BYTES = 64 * 1024  # UTF-8 bytes of a reply, checked before json.loads
+MAX_BATCH_COMMANDS = 16      # commands in one reply
 
 
 class TaskState(Enum):
@@ -227,15 +232,21 @@ def parse_llm_commands(
     """Parse a structured command array out of model output.
 
     The output must be a string (a reply's ``content`` is decoded JSON and
-    may be null, a list or a number). The first JSON array found is taken;
-    every element must be an object with a known "kind" and in-range
-    parameters. Each kind reads only its own keys; a key of another kind
-    is an error, and a key no kind reads is ignored. Any invalid element
-    rejects the whole batch (raise, never silently clamp).
+    may be null, a list or a number) of at most ``MAX_REPLY_BYTES``. The
+    first JSON array found is taken; it holds at most ``MAX_BATCH_COMMANDS``
+    elements, and every element must be an object with a known "kind" and
+    in-range parameters. Each kind reads only its own keys; a key of another
+    kind is an error, and a key no kind reads is ignored. Any invalid
+    element rejects the whole batch (raise, never silently clamp).
     """
     if not isinstance(response_text, str):
         raise MalformedCommandError(
             f"response is not text: {type(response_text).__name__}")
+    # a decoded reply may hold lone surrogates, which strict UTF-8 refuses
+    size = len(response_text.encode("utf-8", "surrogatepass"))
+    if size > MAX_REPLY_BYTES:
+        raise MalformedCommandError(
+            f"reply of {size} bytes exceeds {MAX_REPLY_BYTES}")
     start = response_text.find("[")
     end = response_text.rfind("]")
     if start < 0 or end <= start:
@@ -246,6 +257,9 @@ def parse_llm_commands(
         raise MalformedCommandError(f"unparseable command array: {exc}") from exc
     if not isinstance(raw, list):
         raise MalformedCommandError("command payload is not an array")
+    if len(raw) > MAX_BATCH_COMMANDS:
+        raise MalformedCommandError(
+            f"batch of {len(raw)} commands exceeds {MAX_BATCH_COMMANDS}")
     commands: list[HighCommand] = []
     for item in raw:
         if not isinstance(item, dict):
@@ -301,8 +315,10 @@ JSON array of command objects only. Supported kinds:
   {"kind": "ROTATE_TO", "theta": <rad>}
   {"kind": "FOLLOW_PATH", "waypoints": [[x, y], ...], "speed": <optional m/s>}
   {"kind": "STOP"}
-Speeds must lie in (0, %s]. Unsafe commands will be refused by the robot.
-"""
+Speeds must lie in (0, %%s]. Unsafe commands will be refused by the robot.
+A reply holds at most %d commands, a path at most %d waypoints, and the
+whole reply at most %d bytes; a reply over any cap is rejected whole.
+""" % (MAX_BATCH_COMMANDS, MAX_ROUTE_POINTS, MAX_REPLY_BYTES)
 
 
 class LlmBackend:

@@ -5,9 +5,12 @@ status, handle the unsafe case (safe mode) or run the survival governor and
 roaming, then translate at most one active high command into a one-tick
 device primitive that must pass the predictive safety check before the motor
 sees it. Every primitive so vetted, a roaming arc or a command's step, leaves
-exactly one ``verdict`` event. Feedback and a summarized sensor view go back
-to the agent every tick. The layer never blocks on the agent and keeps
-working if the agent is gone entirely. The safe-mode latch is the controller's own state
+exactly one ``verdict`` event. The device drives an executed primitive for
+its ``duration_ticks`` and then brakes (``DeviceSim``), which is the motion
+the check predicted, so a tick that executes nothing needs no stop of its
+own. Feedback and a summarized sensor view go back to the agent every tick.
+The layer never blocks on the agent and keeps working if the agent is gone
+entirely. The safe-mode latch is the controller's own state
 (``InstinctController.mode``); the device never reads it.
 
 Most motions are approved without predicting their trajectory. A travel
@@ -135,6 +138,12 @@ class SweepDigest(NamedTuple):
     nearest_bearing: float  # the nearest return's bearing from the heading
     nearest_range: float    # and its range (max_range when nothing hit)
 
+    def summary(self, max_range: float, pose: Pose2D, load: float,
+                mode: Mode, tick: int) -> ScanSummary:
+        """The ``ScanSummary`` of this digest, in the frame of ``pose``."""
+        return ScanSummary(self.sector_min, max_range, self.nearest_bearing,
+                           self.nearest_range, pose, load, mode, tick)
+
 
 def reduce_sweep(scan: LidarScan) -> SweepDigest:
     """Reduce a sweep once: one fancy index groups the beams by sector and
@@ -156,17 +165,8 @@ def reduce_sweep(scan: LidarScan) -> SweepDigest:
 def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
     """The eight-sector digest the agent plans from, with ``state``'s pose
     and load and ``mode`` (``reduce_sweep``)."""
-    d = reduce_sweep(scan)
-    return ScanSummary(
-        sector_min=d.sector_min,
-        max_range=scan.max_range,
-        nearest_bearing=d.nearest_bearing,
-        nearest_range=d.nearest_range,
-        pose=state.pose,
-        load=state.load,
-        mode=mode,
-        tick=scan.tick,
-    )
+    return reduce_sweep(scan).summary(scan.max_range, state.pose, state.load,
+                                      mode, scan.tick)
 
 
 def front_min_range(scan: LidarScan) -> float:
@@ -735,7 +735,8 @@ class InstinctController:
 
     def _execute(self, low: LowCommand, parent: int | str) -> None:
         if low.kind is LowKind.SET_WHEELS:
-            self.device.set_wheel_command(low.v_left, low.v_right)
+            self.device.set_wheel_command(low.v_left, low.v_right,
+                                          low.duration_ticks)
             self.recorder.emit("DEVICE", "exec_wheels", {
                 "low_id": low.id, "parent_id": parent,
                 "v_left": low.v_left, "v_right": low.v_right,
@@ -781,8 +782,6 @@ class InstinctController:
             if self.safe_streak >= self.params.safe_hold_ticks:
                 self.mode = Mode.NORMAL
                 self.recorder.emit("INSTINCT", "safe_mode_exited", {})
-            else:
-                self.device.stop()
             self._poll_commands(now, holding=True)
             self._send_data(now)
             return
@@ -792,9 +791,8 @@ class InstinctController:
         if scale < 1.0:
             self.recorder.emit("INSTINCT", "governor",
                                {"scale": scale, "front_min": front_min})
-        executed_motion = False
         if self.params.roaming and self.active is None and not self.queue:
-            executed_motion = self._roam(scale, now)
+            self._roam(scale, now)
 
         # (5) poll high commands; adopt the next one FIFO
         self._poll_commands(now, holding=False)
@@ -803,10 +801,7 @@ class InstinctController:
 
         # (6) convert + vet: execute if safe, else refuse the command
         if self.active is not None:
-            executed_motion = self._drive_active(state, scale, now) or executed_motion
-
-        if not executed_motion:
-            self.device.stop()
+            self._drive_active(state, scale, now)
 
         # (7) summarized data every tick
         self._send_data(now)
@@ -836,32 +831,22 @@ class InstinctController:
         origin), with the device's current load and the latch's mode
         (safe-mode handling can change it mid-tick)."""
         p = self._percept
-        d = p.digest
-        return ScanSummary(
-            sector_min=d.sector_min,
-            max_range=p.scan.max_range,
-            nearest_bearing=d.nearest_bearing,
-            nearest_range=d.nearest_range,
-            pose=p.scan.origin,
-            load=self.device.state.load,
-            mode=self.mode,
-            tick=now,
-        )
+        return p.digest.summary(p.scan.max_range, p.scan.origin,
+                                self.device.state.load, self.mode, now)
 
-    def _roam(self, scale: float, now: int) -> bool:
+    def _roam(self, scale: float, now: int) -> None:
         vl, vr = roam_intent(self._summary(now), self.roam_rng,
                              self.device.robot, self.params)
         low = LowCommand(self._next_low_id(), None, LowKind.SET_WHEELS,
                          vl * scale, vr * scale)
-        return self._vet(low, now).safe
+        self._vet(low, now)
 
-    def _drive_active(self, state: RobotState, scale: float, now: int) -> bool:
+    def _drive_active(self, state: RobotState, scale: float, now: int) -> None:
         active = self.active
         intent, done, active.waypoint_idx = convert(
             active.cmd, state.pose, self.device.robot, self.params,
             active.waypoint_idx,
         )
-        moving = False
         if intent is not None:  # None only once done
             kind, vl, vr = intent
             low = LowCommand(self._next_low_id(), active.cmd.id, kind,
@@ -872,8 +857,7 @@ class InstinctController:
                     active.cmd.id, FeedbackStatus.REFUSED,
                     verdict.reason.value, now, verdict))
                 self.active = None
-                return False
-            moving = kind is LowKind.SET_WHEELS
+                return
         if done:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.COMPLETED,
                                          "DONE", now))
@@ -881,7 +865,6 @@ class InstinctController:
         else:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.EXECUTING,
                                          "EXECUTING", now))
-        return moving
 
     def _send_data(self, now: int) -> None:
         self.data_channel.transmit(self._summary(now), now)

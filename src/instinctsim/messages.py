@@ -1,8 +1,9 @@
 """Goal, command, feedback, and summary types exchanged between layers.
 
 These are the wire contract: the agent only ever sees ``Goal`` /
-``HighCommand`` / ``Feedback`` / ``ScanSummary``; devices only ever see
-``LowCommand``. The instinct layer bridges the two command vocabularies.
+``HighCommand`` / ``Feedback`` / ``ScanSummary``; the device only ever runs
+a vetted ``LowCommand``, for its ``duration_ticks``, and then brakes. The
+instinct layer bridges the two command vocabularies.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from enum import Enum
 from .world import Pose2D, wrap_angle
 
 N_SECTORS = 8  # sectors of a ScanSummary; sector 0 is centered on the heading
+MAX_ROUTE_POINTS = 256  # points of one HighCommand's route
 
 
 class MalformedCommandError(ValueError):
@@ -91,10 +93,16 @@ class HighCommand:
     speed: float | None = None
 
     def validate(self, v_wheel_max: float) -> None:
-        """Raise MalformedCommandError unless the parameters are usable."""
+        """Raise MalformedCommandError unless the parameters are usable. A
+        route longer than ``MAX_ROUTE_POINTS`` is refused before any of its
+        points is read."""
         if self.kind in (HighKind.MOVE_TO, HighKind.FOLLOW_PATH):
             if not self.route:
                 raise MalformedCommandError(f"{self.kind.value} requires a route")
+            if len(self.route) > MAX_ROUTE_POINTS:
+                raise MalformedCommandError(
+                    f"route of {len(self.route)} points exceeds "
+                    f"{MAX_ROUTE_POINTS}")
             if self.kind is HighKind.MOVE_TO and len(self.route) != 1:
                 raise MalformedCommandError(
                     f"MOVE_TO takes exactly one point, got {len(self.route)}")

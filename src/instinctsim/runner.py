@@ -1,8 +1,9 @@
 """Run harness: the external layer, the tick loop, and metrics assembly.
 
-Both run modes drive the same two steps of a ``Runtime``. ``step(now)``
-issues the tasks due at ``now`` (external layer), steps the device and runs
-the instinct; ``agent_step(now)`` wakes the agent unless it is dead, and an
+Both run modes build one ``Runtime`` (``build_runtime``), drive the same
+two steps of it and return its ``result()``. ``step(now)`` issues the
+tasks due at ``now`` (external layer), steps the device and runs the
+instinct; ``agent_step(now)`` wakes the agent unless it is dead, and an
 exception out of the agent is its death at that tick; a dead agent's inbox
 is drained unread. Deterministic mode calls both on logical ticks inside
 one thread, the agent at its period.
@@ -32,7 +33,8 @@ from .world import DeviceSim, RobotState
 class Runtime:
     """Everything one run needs, fully built from a scenario, and the loop
     state both run modes advance: tasks issued so far, the instinct tick
-    times and the tick the agent died at (if any)."""
+    times and the tick the agent died at (if any). ``accumulator``, the
+    recorder's first sink, gathers the run's metrics."""
 
     scenario: Scenario
     device: DeviceSim
@@ -40,6 +42,7 @@ class Runtime:
     agent: DecisionAgent
     recorder: TraceRecorder
     task_channel: Channel
+    accumulator: MetricsAccumulator
     death_tick: int | None = None
     issued: int = 0
     tick_times: list[int] = field(default_factory=list)
@@ -49,7 +52,7 @@ class Runtime:
 
     def step(self, now: int) -> None:
         """External, device and instinct layers for tick ``now``: issue the
-        due tasks, step the physics under the held wheel command (the DEVICE
+        due tasks, step the physics under the device's wheel command (the DEVICE
         state event carries the step's ground-truth clearance; the collision
         event marks the tick the latch first sets), then the timed instinct
         tick."""
@@ -101,6 +104,13 @@ class Runtime:
                 and not self.task_channel.pending()
                 and self.agent.all_tasks_terminal())
 
+    def result(self) -> tuple[list[TraceEvent], RunMetrics]:
+        """The trace (empty if not stored) and the metrics, with the
+        instinct tick timing."""
+        metrics = self.accumulator.metrics
+        metrics.timing = _timing_stats(self.tick_times)
+        return self.recorder.events, metrics
+
 
 def build_runtime(
     scenario: Scenario,
@@ -108,7 +118,9 @@ def build_runtime(
     sinks: list[Callable[[TraceEvent], None]] | None = None,
 ) -> Runtime:
     seed = scenario.seed
-    recorder = TraceRecorder(store=store_trace, sinks=sinks)
+    accumulator = MetricsAccumulator()
+    recorder = TraceRecorder(store=store_trace,
+                             sinks=[accumulator] + list(sinks or []))
     noise_rng = (derive_rng(seed, "lidar_noise")
                  if scenario.lidar.noise_std > 0 else None)
     device = DeviceSim(
@@ -162,7 +174,7 @@ def build_runtime(
              if scenario.agent.backend == "llm" else None),
     )
     return Runtime(scenario, device, instinct, agent, recorder, task_channel,
-                   death_tick=scenario.agent.kill_tick)
+                   accumulator, death_tick=scenario.agent.kill_tick)
 
 
 def _timing_stats(samples_ns: list[int]) -> dict:
@@ -178,12 +190,6 @@ def _timing_stats(samples_ns: list[int]) -> dict:
     }
 
 
-def _metrics(rt: Runtime, metrics_acc: MetricsAccumulator) -> RunMetrics:
-    metrics = metrics_acc.metrics
-    metrics.timing = _timing_stats(rt.tick_times)
-    return metrics
-
-
 def run_sim(
     scenario: Scenario,
     store_trace: bool = True,
@@ -195,16 +201,14 @@ def run_sim(
     ends at the tick budget or as soon as every task is issued, received
     and terminal while the agent lives.
     """
-    metrics_acc = MetricsAccumulator()
-    all_sinks = [metrics_acc] + list(sinks or [])
-    rt = build_runtime(scenario, store_trace=store_trace, sinks=all_sinks)
+    rt = build_runtime(scenario, store_trace=store_trace, sinks=sinks)
     for now in range(scenario.ticks):
         rt.step(now)
         if now % scenario.agent.period_ticks == 0:
             rt.agent_step(now)
         if rt.finished(now):
             break
-    return rt.recorder.events, _metrics(rt, metrics_acc)
+    return rt.result()
 
 
 def run_live(
@@ -219,9 +223,7 @@ def run_live(
     and steps the agent at that tick. Excluded from determinism guarantees
     by design.
     """
-    metrics_acc = MetricsAccumulator()
-    all_sinks = [metrics_acc] + list(sinks or [])
-    rt = build_runtime(scenario, store_trace=store_trace, sinks=all_sinks)
+    rt = build_runtime(scenario, store_trace=store_trace, sinks=sinks)
     stop = threading.Event()
     last_tick = -1
 
@@ -256,4 +258,4 @@ def run_live(
     agent_thread.start()
     instinct_thread.join()
     agent_thread.join(timeout=5.0)
-    return rt.recorder.events, _metrics(rt, metrics_acc)
+    return rt.result()

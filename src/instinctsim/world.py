@@ -373,7 +373,11 @@ def step_world(
 
 
 class DeviceSim:
-    """Device layer: motor with zero-order-hold commands, lidar, encoder.
+    """Device layer: motor, lidar, encoder.
+
+    The motor drives a wheel command for its ``duration_ticks`` steps; then
+    its targets fall to zero and the wheels brake at a_max, which is the
+    hold the predictive check certifies (``instinct.predict_trajectory``).
 
     A noise-free sweep is a pure function of the pose in an immutable world,
     so while the pose equals the ``origin`` of the last noise-free sweep,
@@ -401,21 +405,29 @@ class DeviceSim:
         self.noise_rng = noise_rng
         self.cmd_v_left = 0.0
         self.cmd_v_right = 0.0
+        self.hold_ticks = 0  # steps the wheel command has left
         self._clearance: tuple[Pose2D | None, float] = (None, 0.0)
         self._sweep: LidarScan | None = None  # the last noise-free sweep
 
-    def set_wheel_command(self, v_left: float, v_right: float) -> None:
+    def set_wheel_command(self, v_left: float, v_right: float,
+                          duration_ticks: int) -> None:
+        """Drive (v_left, v_right) for the next ``duration_ticks`` steps."""
         self.cmd_v_left = v_left
         self.cmd_v_right = v_right
+        self.hold_ticks = duration_ticks
 
     def stop(self) -> None:
-        self.set_wheel_command(0.0, 0.0)
+        self.set_wheel_command(0.0, 0.0, 0)
 
     def step(self, dt: float) -> RobotState:
         self.state, gap = step_world(
             self.state, self.world, self.cmd_v_left, self.cmd_v_right, dt, self.robot
         )
         self._clearance = (self.state.pose, gap)
+        if self.hold_ticks > 1:
+            self.hold_ticks -= 1
+        else:  # the hold has run out: brake at a_max
+            self.stop()
         return self.state
 
     def acquire_scan(self, tick: int) -> LidarScan:

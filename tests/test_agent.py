@@ -14,6 +14,8 @@ from instinctsim import runner
 from instinctsim.agent import (
     BLOCKED_EXPIRY_TICKS,
     DETOUR_DISTANCE,
+    MAX_BATCH_COMMANDS,
+    MAX_REPLY_BYTES,
     DecisionAgent,
     LlmBackend,
     ReflectionNote,
@@ -35,6 +37,7 @@ from instinctsim.messages import (
     GoalKind,
     HighCommand,
     HighKind,
+    MAX_ROUTE_POINTS,
     MalformedCommandError,
     Mode,
     SafetyVerdict,
@@ -367,6 +370,56 @@ class TestParseLlmCommands:
         text = "[" * 100_000 + "]" * 100_000
         with pytest.raises(MalformedCommandError):
             parse_llm_commands(text, 0.5, self.next_id(), now=0)
+
+    def test_nesting_within_the_byte_cap_is_unparseable(self):
+        depth = MAX_REPLY_BYTES // 2
+        with pytest.raises(MalformedCommandError, match="unparseable"):
+            parse_llm_commands("[" * depth + "]" * depth, 0.5,
+                               self.next_id(), now=0)
+
+    def test_large_batch_rejected_by_name(self):
+        move = {"kind": "MOVE_TO", "x": 1.0, "y": 2.0}
+        cmds = parse_llm_commands(json.dumps([move] * MAX_BATCH_COMMANDS),
+                                  0.5, self.next_id(), now=0)
+        assert len(cmds) == MAX_BATCH_COMMANDS
+        with pytest.raises(MalformedCommandError,
+                           match="batch of 200 commands exceeds 16"):
+            parse_llm_commands(json.dumps([move] * 200), 0.5,
+                               self.next_id(), now=0)
+
+    def test_oversized_reply_rejected_before_parsing(self):
+        path = [[0.001 * i, 1.0] for i in range(200_000)]
+        text = json.dumps([{"kind": "FOLLOW_PATH", "waypoints": path}])
+        with pytest.raises(MalformedCommandError,
+                           match=f"reply of {len(text)} bytes exceeds 65536"):
+            parse_llm_commands(text, 0.5, self.next_id(), now=0)
+
+    def test_reply_size_counts_utf8_bytes(self):
+        filler = "é" * (MAX_REPLY_BYTES // 2)  # two bytes each
+        parse_llm_commands('[{"kind": "STOP"}]' + filler[:-10], 0.5,
+                           self.next_id(), now=0)
+        with pytest.raises(MalformedCommandError, match="bytes exceeds"):
+            parse_llm_commands('[{"kind": "STOP"}]' + filler, 0.5,
+                               self.next_id(), now=0)
+
+    def test_long_route_rejected_by_name(self):
+        def reply(n):
+            return json.dumps([{"kind": "FOLLOW_PATH",
+                                "waypoints": [[1, 0]] * n}])
+
+        (cmd,) = parse_llm_commands(reply(MAX_ROUTE_POINTS), 0.5,
+                                    self.next_id(), now=0)
+        assert len(cmd.route) == MAX_ROUTE_POINTS
+        with pytest.raises(MalformedCommandError,
+                           match="route of 257 points exceeds 256"):
+            parse_llm_commands(reply(MAX_ROUTE_POINTS + 1), 0.5,
+                               self.next_id(), now=0)
+
+    def test_route_cap_comes_before_the_points(self):
+        route = ((1.0, 0.0),) * MAX_ROUTE_POINTS + ((math.nan, 0.0),)
+        cmd = HighCommand(1, HighKind.FOLLOW_PATH, 0, route)
+        with pytest.raises(MalformedCommandError, match="exceeds"):
+            cmd.validate(ROBOT.v_wheel_max)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(max_size=80),

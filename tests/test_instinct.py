@@ -25,6 +25,7 @@ from instinctsim.messages import (
     HighKind,
     LowCommand,
     LowKind,
+    MAX_ROUTE_POINTS,
     Mode,
     SafetyVerdict,
     ScanSummary,
@@ -580,6 +581,16 @@ class TestRefusal:
         assert fb[0].reason == "MALFORMED"
         assert fb[0].verdict is None  # no check vetted it
 
+    def test_overlong_route_refused_at_intake(self, stack):
+        route = ((1.0, 0.0),) * (MAX_ROUTE_POINTS + 1)
+        stack.command.transmit(
+            HighCommand(7, HighKind.FOLLOW_PATH, 0, route), 0)
+        stack.controller.tick(0)
+        fb = stack.feedback.poll(0)
+        assert [(f.status, f.reason) for f in fb] == [
+            (FeedbackStatus.REFUSED, "MALFORMED")]
+        assert not stack.controller.queue
+
 
 class TestTickContract:
     def test_safe_tick_with_move_executes_once(self, stack):
@@ -594,12 +605,19 @@ class TestTickContract:
         assert "ACCEPTED" in fb_status and "EXECUTING" in fb_status
 
     def test_idle_tick_keeps_stop_and_sends_data(self, stack):
-        stack.device.set_wheel_command(0.3, 0.3)  # stale residue
+        stack.device.set_wheel_command(0.3, 0.3, 1)  # residue of a 1-step hold
         stack.controller.tick(0)
-        assert (stack.device.cmd_v_left, stack.device.cmd_v_right) == (0, 0)
         assert len(stack.data.poll(0)) == 1
         assert not [e for e in stack.recorder.events
                     if e.kind == "exec_wheels"]
+        # the idle tick sends nothing: the residue drives one step from
+        # rest, then the wheels brake back to a stop
+        dv = ROBOT.a_max * PHYSICS_DT
+        state = stack.device.step(PHYSICS_DT)
+        assert (state.v_left, state.v_right) == (dv, dv)
+        assert (stack.device.cmd_v_left, stack.device.cmd_v_right) == (0, 0)
+        state = stack.device.step(PHYSICS_DT)
+        assert (state.v_left, state.v_right) == (0.0, 0.0)
 
     def test_fifo_one_active_command_at_a_time(self, stack):
         stack.command.transmit(

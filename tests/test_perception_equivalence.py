@@ -409,7 +409,7 @@ class TestScanReuse:
     def test_moving_robot_rescans(self):
         dev = _device()
         first = dev.acquire_scan(tick=1)
-        dev.set_wheel_command(0.3, 0.35)
+        dev.set_wheel_command(0.3, 0.35, 1)
         dev.step(PHYSICS_DT)
         second = dev.acquire_scan(tick=2)
         assert second.ranges is not first.ranges
@@ -429,7 +429,7 @@ class TestScanReuse:
 
     def test_ground_truth_clearance_follows_the_pose(self):
         dev = _device()
-        dev.set_wheel_command(0.3, 0.3)
+        dev.set_wheel_command(0.3, 0.3, 1)
         state = dev.step(PHYSICS_DT)
         assert dev.ground_truth_clearance() == clearance(
             dev.world, state.pose.x, state.pose.y)

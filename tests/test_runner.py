@@ -29,7 +29,7 @@ from instinctsim.trace import (
     recompute_metrics,
     write_trace,
 )
-from instinctsim.world import Circle, Pose2D, Rect, WorldModel
+from instinctsim.world import Circle, DeviceSim, Pose2D, Rect, WorldModel
 
 DEMO_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
 
@@ -268,6 +268,50 @@ class TestRunLevelInvariants:
                 assert e.payload["low_id"] in approvals.get(e.tick, set())
                 parents.add(e.payload["parent_id"] == "SURVIVAL")
         assert parents == ({False, True} if roaming else {False})
+
+    def test_each_step_drives_what_the_tick_before_executed_last(
+            self, monkeypatch):
+        # the check certifies a one-tick hold, then braking: each device
+        # step drives the previous tick's last executed wheel speeds, and
+        # zero targets after a tick that executed nothing or a stop
+        targets = []
+        step = DeviceSim.step
+
+        def recording(self, dt):
+            targets.append((self.cmd_v_left, self.cmd_v_right))
+            return step(self, dt)
+
+        monkeypatch.setattr(DeviceSim, "step", recording)
+        sc = random_scenario(27, roaming=True, kill_tick=200, ticks=600,
+                             min_separation=3.0)
+        trace, metrics = run_sim(sc)
+        last = {}
+        for e in trace:
+            if e.kind == "exec_wheels":
+                last[e.tick] = (e.payload["v_left"], e.payload["v_right"])
+            elif e.kind == "exec_stop":
+                last[e.tick] = (0.0, 0.0)
+        assert len(targets) == metrics.ticks
+        assert targets == [last.get(now - 1, (0.0, 0.0))
+                           for now in range(metrics.ticks)]
+        # the run covers hallucinated commands, roaming, safe mode and
+        # ticks that execute nothing
+        kinds = {e.kind for e in trace}
+        assert {"hallucination", "safe_mode_entered"} <= kinds
+        assert any(e.kind == "exec_wheels"
+                   and e.payload["parent_id"] == "SURVIVAL" for e in trace)
+        assert len(last) < metrics.ticks
+
+    def test_runtime_result_reads_its_own_accumulator(self):
+        seen = []
+        rt = build_runtime(small_scenario(), sinks=[seen.append])
+        for now in range(5):
+            rt.step(now)
+        events, metrics = rt.result()
+        assert events == seen  # the accumulator is an extra, first sink
+        assert metrics is rt.accumulator.metrics
+        assert metrics.ticks == 5
+        assert metrics.timing["ticks"] == 5
 
     def test_run_ends_when_tasks_terminal(self):
         trace, metrics = run_sim(small_scenario(ticks=6000))

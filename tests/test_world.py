@@ -344,17 +344,38 @@ class TestStepWorld:
 
 class TestDeviceSim:
     def test_hold_and_step(self):
-        w = WorldModel(bounds=BIG)
-        dev = DeviceSim(w, RobotState(pose=Pose2D(0, 0, 0)), RobotParams(),
+        # at speed, one command held for one step, then nothing: the wheels
+        # brake at a_max, as the predictive check models
+        robot = RobotParams()
+        dev = DeviceSim(WorldModel(bounds=BIG),
+                        RobotState(pose=Pose2D(0, 0, 0), v_left=0.5,
+                                   v_right=0.5), robot, LidarParams())
+        dev.set_wheel_command(0.5, 0.5, 1)
+        state = dev.step(0.01)
+        assert (state.v_left, state.v_right) == (0.5, 0.5)
+        dv = robot.a_max * 0.01
+        speeds = [0.5]
+        while speeds[-1] > 0.0:
+            state = dev.step(0.01)
+            assert state.v_left == state.v_right
+            assert state.v_left == pytest.approx(max(speeds[-1] - dv, 0.0))
+            speeds.append(state.v_left)
+        assert len(speeds) == round(0.5 / dv) + 1
+        assert dev.step(0.01).v_left == 0.0
+
+    def test_hold_lasts_its_duration(self):
+        dev = DeviceSim(WorldModel(bounds=BIG),
+                        RobotState(pose=Pose2D(0, 0, 0)), RobotParams(),
                         LidarParams())
-        dev.set_wheel_command(0.5, 0.5)
-        for _ in range(100):
+        dev.set_wheel_command(0.3, 0.2, 3)
+        targets = []
+        for _ in range(5):
+            targets.append((dev.cmd_v_left, dev.cmd_v_right))
             dev.step(0.01)
-        assert dev.state.v_left == pytest.approx(0.5)
-        dev.stop()
-        for _ in range(100):
-            dev.step(0.01)
-        assert dev.state.v_left == pytest.approx(0.0)
+        assert targets == [(0.3, 0.2)] * 3 + [(0.0, 0.0)] * 2
+        dev.set_wheel_command(0.3, 0.2, 5)
+        dev.stop()  # an explicit stop ends the hold at once
+        assert (dev.cmd_v_left, dev.cmd_v_right, dev.hold_ticks) == (0, 0, 0)
 
     def test_acquire_scan(self):
         w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.0, 0.5),))
