@@ -294,11 +294,16 @@ def _num(value) -> float | None:
 
 
 def _route(value) -> tuple[tuple[float, float], ...]:
-    """A JSON list of [x, y] number pairs; an absent list is empty."""
+    """A JSON list of at most ``MAX_ROUTE_POINTS`` [x, y] number pairs,
+    its length checked before any point is read; an absent list is
+    empty."""
     if value is None:
         return ()
     if not isinstance(value, list):
         raise MalformedCommandError(f"waypoints must be an array: {value!r}")
+    if len(value) > MAX_ROUTE_POINTS:
+        raise MalformedCommandError(
+            f"route of {len(value)} points exceeds {MAX_ROUTE_POINTS}")
     out = []
     for pair in value:
         point = tuple(map(_num, pair)) if isinstance(pair, list) else ()

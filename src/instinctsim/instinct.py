@@ -23,24 +23,25 @@ the verdict says so (``"bound": "disc"``). Every other motion is predicted
 and measured in full, so each verdict's safe flag and reason are those of
 the full check.
 
-Perception is computed once per scan, and only as far as it is read. A
-scan is reduced once when it arrives (``reduce_sweep``): the eight sector
-minima and the front minimum come from one ``np.minimum.reduceat`` over
-the beams grouped by sector with the front beams appended, an index cached
-per beam count, and one ``argmin`` gives the nearest return, whose range is
-also the belief's reach. Every summary sent in that tick (roaming, the
-end-of-tick report) reuses that digest in the frame the sweep was cast in,
-with the device's current load and the layer's own mode. The belief's hit
-points are built on first read, at most once per sweep: only the full
-predictive check reads them, so a tick whose motions the travel bound
-approves never builds them. Where a sweep was cast and how its beams lie
-is the scan's own (``LidarScan.origin``, ``world.beam_offsets``), so the
-belief lands where its sweep was cast, whatever the pose is now. While the
-robot stands still a noise-free device returns scans sharing one ranges
-array (see ``DeviceSim``); such a scan reuses the previous digest and
-belief points, and only the belief's ``built_tick`` advances. Sweeps and
-belief points are read-only, because they are shared and read after the
-tick that cast them.
+Perception is computed once per sweep, and only as far as it is read.
+There is one sweep object per pose: while the robot stands still a
+noise-free device hands back the sweep it last cast (``DeviceSim``), and
+that object is current. A sweep is reduced on the first tick that reads
+it (``reduce_sweep``): the eight sector minima and the front minimum come
+from one ``np.minimum.reduceat`` over the beams grouped by sector with the
+front beams appended, an index cached per beam count, and one ``argmin``
+gives the nearest return, whose range is also the belief's reach. Every
+summary sent while that sweep is current (roaming, the end-of-tick
+reports) reuses that digest in the frame the sweep was cast in, with the
+device's current load, the layer's own mode and the tick. Each tick builds
+a small belief stamped with its own tick; its points are the sweep's hits
+(``LidarScan.hits``), built on first read, at most once per sweep: only
+the full predictive check reads them, so a tick whose motions the travel
+bound approves never builds them. Where a sweep was cast and how its beams
+lie is the sweep's own (``LidarScan.origin``, ``world.beam_offsets``), so
+the belief lands where its sweep was cast, whatever the pose is now.
+Sweeps and their hits are read-only, because they are shared and read
+after the tick that cast them.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
@@ -162,48 +163,17 @@ def reduce_sweep(scan: LidarScan) -> SweepDigest:
                        float(ranges[nearest]))
 
 
-def summarize(scan: LidarScan, state: RobotState, mode: Mode) -> ScanSummary:
+def summarize(scan: LidarScan, state: RobotState, mode: Mode,
+              tick: int) -> ScanSummary:
     """The eight-sector digest the agent plans from, with ``state``'s pose
-    and load and ``mode`` (``reduce_sweep``)."""
+    and load, ``mode`` and ``tick`` (``reduce_sweep``)."""
     return reduce_sweep(scan).summary(scan.max_range, state.pose, state.load,
-                                      mode, scan.tick)
+                                      mode, tick)
 
 
 def front_min_range(scan: LidarScan) -> float:
     """Minimum return within +-45 degrees of the heading."""
     return reduce_sweep(scan).front_min
-
-
-class _SweepHits:
-    """The world-frame endpoints of one sweep's hits, built on first read.
-
-    They are built once, read-only, with the same multiply and add per
-    coordinate as an eager build, from the unit directions the ray cast
-    computed (``LidarScan.directions``). The sweep is dropped once they
-    exist.
-    """
-
-    __slots__ = ("_scan", "_points")
-
-    def __init__(self, scan: LidarScan) -> None:
-        self._scan: LidarScan | None = scan
-        self._points: np.ndarray | None = None
-
-    def get(self) -> np.ndarray:
-        points = self._points
-        return self._build() if points is None else points
-
-    def _build(self) -> np.ndarray:
-        scan = self._scan
-        ranges = scan.ranges
-        idx = (ranges < scan.max_range).nonzero()[0]
-        points = np.empty((idx.shape[0], 2))
-        np.multiply(ranges[idx], scan.directions[:, idx], out=points.T)
-        points += (scan.origin.x, scan.origin.y)
-        points.flags.writeable = False
-        self._points = points
-        self._scan = None
-        return points
 
 
 class ObstacleBelief:
@@ -215,15 +185,17 @@ class ObstacleBelief:
     and its nearest hit range (inf without hits): from that origin, the
     nearest point lies at that range up to rounding.
 
-    ``points`` are given as an array, or, from a scan, built on first read
-    (``_SweepHits``): only the full predictive check reads them, so a
-    motion the travel bound approves never pays for them. Beliefs restamped
-    from one belief share its points, built or not.
+    ``points`` are given as an array, or as the sweep whose ``hits`` they
+    are, read on first use and the sweep then dropped: only the full
+    predictive check reads them, so a motion the travel bound approves
+    never pays for them. The hits are built once per sweep, on the sweep
+    (``LidarScan.hits``), so every belief of one sweep, whatever tick it
+    is stamped with, shares them.
     """
 
     __slots__ = ("_points", "built_tick", "origin", "reach")
 
-    def __init__(self, points: np.ndarray | _SweepHits, built_tick: int,
+    def __init__(self, points: np.ndarray | LidarScan, built_tick: int,
                  origin: tuple[float, float] | None = None,
                  reach: float = math.inf) -> None:
         self._points = points  # (K, 2) world-frame endpoints of beams that hit
@@ -234,22 +206,20 @@ class ObstacleBelief:
     @property
     def points(self) -> np.ndarray:
         p = self._points
-        return p.get() if isinstance(p, _SweepHits) else p
+        if isinstance(p, LidarScan):
+            p = self._points = p.hits
+        return p
 
     @classmethod
-    def from_scan(cls, scan: LidarScan,
+    def from_scan(cls, scan: LidarScan, tick: int,
                   nearest: float | None = None) -> "ObstacleBelief":
-        """The belief of a sweep, at its origin. ``nearest`` is the sweep's
-        least range, for a caller that has reduced the sweep already."""
+        """The belief of a sweep read at ``tick``, at the sweep's origin.
+        ``nearest`` is the sweep's least range, for a caller that has
+        reduced the sweep already."""
         if nearest is None:
             nearest = float(scan.ranges.min())
         reach = math.inf if nearest >= scan.max_range else nearest
-        return cls(_SweepHits(scan), scan.tick,
-                   (scan.origin.x, scan.origin.y), reach)
-
-    def restamped(self, tick: int) -> "ObstacleBelief":
-        """This belief as of ``tick``, sharing its points."""
-        return ObstacleBelief(self._points, tick, self.origin, self.reach)
+        return cls(scan, tick, (scan.origin.x, scan.origin.y), reach)
 
 
 def predict_trajectory(
@@ -592,14 +562,6 @@ def roam_intent(
     return _mix(v, omega, robot)
 
 
-class _Percept(NamedTuple):
-    """What the controller derived from one distinct ranges array."""
-
-    scan: LidarScan
-    belief: ObstacleBelief
-    digest: SweepDigest
-
-
 @dataclass
 class _ActiveCommand:
     cmd: HighCommand
@@ -635,7 +597,8 @@ class InstinctController:
         self.overload_ticks = 0
         self.safe_streak = 0
         self._low_id = 0
-        self._percept: _Percept | None = None
+        self._scan: LidarScan | None = None  # the last sweep reduced
+        self._digest: SweepDigest | None = None  # and its reduction
 
     # -- helpers ----------------------------------------------------------
 
@@ -752,10 +715,10 @@ class InstinctController:
     def tick(self, now: int) -> None:
         """One pass of the fixed loop; see the module docstring for order."""
         self.recorder.begin_tick(now)  # no-op when the runner already did
-        # (1) acquire scan + state; rebuild the per-scan belief
-        scan = self.device.acquire_scan(now)
+        # (1) acquire sweep + state; build this tick's belief
+        scan = self.device.acquire_scan()
         state = self.device.state
-        front_min = self._perceive(scan)
+        front_min = self._perceive(scan, now)
         if state.load >= self.params.overload_threshold:
             self.overload_ticks += 1
         else:
@@ -806,33 +769,31 @@ class InstinctController:
         # (7) summarized data every tick
         self._send_data(now)
 
-    def _perceive(self, scan: LidarScan) -> float:
-        """Set this tick's belief from the scan, at the scan's origin, and
-        return front_min.
+    def _perceive(self, scan: LidarScan, now: int) -> float:
+        """Set this tick's belief from the sweep read at ``now``, at the
+        sweep's origin, and return front_min.
 
-        A distinct scan is reduced once (``reduce_sweep``); its belief
-        points wait for the first full check that reads them. A scan
-        sharing the previous ranges array (the device's stationary reuse,
-        which shares it only between sweeps of one origin) reuses the
-        digest and the belief's points; only the belief is re-stamped with
-        this scan's tick, so staleness works as before.
+        A sweep object is reduced once (``reduce_sweep``), on the first tick
+        that reads it; the device hands back the same object while it stands
+        still, and that object is current. Every tick gets a belief stamped
+        ``now``, whose points are the sweep's ``hits``, built by the first
+        full check that reads them and shared by every later belief of the
+        sweep.
         """
-        p = self._percept
-        if p is not None and p.scan.ranges is scan.ranges:
-            self.belief = p.belief.restamped(scan.tick)
-            return p.digest.front_min
-        d = reduce_sweep(scan)
-        self.belief = ObstacleBelief.from_scan(scan, d.nearest_range)
-        self._percept = _Percept(scan, self.belief, d)
+        if scan is not self._scan:
+            self._scan = scan
+            self._digest = reduce_sweep(scan)
+        d = self._digest
+        self.belief = ObstacleBelief.from_scan(scan, now, d.nearest_range)
         return d.front_min
 
     def _summary(self, now: int) -> ScanSummary:
-        """The scan's sector digest in the frame it was cast in (the scan's
-        origin), with the device's current load and the latch's mode
-        (safe-mode handling can change it mid-tick)."""
-        p = self._percept
-        return p.digest.summary(p.scan.max_range, p.scan.origin,
-                                self.device.state.load, self.mode, now)
+        """The sweep's sector digest in the frame it was cast in (the
+        sweep's origin), with the device's current load and the latch's
+        mode (safe-mode handling can change it mid-tick)."""
+        scan = self._scan
+        return self._digest.summary(scan.max_range, scan.origin,
+                                    self.device.state.load, self.mode, now)
 
     def _roam(self, scale: float, now: int) -> None:
         vl, vr = roam_intent(self._summary(now), self.roam_rng,

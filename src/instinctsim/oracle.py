@@ -67,8 +67,8 @@ def gen_scenario(
         if clearance(world, x, y) >= 0.5:
             break
     start = Pose2D(x, y, rng.uniform(-math.pi, math.pi))
-    sweep = scan(world, start, lidar.beams, lidar.max_range, tick=0)
-    belief = ObstacleBelief.from_scan(sweep)
+    sweep = scan(world, start, lidar.beams, lidar.max_range)
+    belief = ObstacleBelief.from_scan(sweep, 0)
     points = belief.points  # built now: a kept case holds points, not a sweep
     roll = rng.random()
     if roll < 0.10:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,11 @@ class LidarScan:
     beam_offsets(n)[i]`` (world frame); a beam that hits nothing reports
     exactly ``max_range``.
 
+    A sweep is a value of its pose, not of a time: when it was read is the
+    reader's ``now``, and one sweep object may be read on many ticks
+    (``DeviceSim.acquire_scan``). What is derived from it lives on it, so
+    every reader shares one build: ``hits``.
+
     ``directions`` holds each beam's unit direction as ``unit_directions``
     gives it, (2, n) and read-only. ``scan`` passes the directions it cast
     along; a scan built without them computes them from those angles.
@@ -162,7 +167,6 @@ class LidarScan:
     ranges: np.ndarray
     origin: Pose2D
     max_range: float
-    tick: int
     directions: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -175,6 +179,19 @@ class LidarScan:
     @property
     def n_beams(self) -> int:
         return len(self.ranges)
+
+    @functools.cached_property
+    def hits(self) -> np.ndarray:
+        """(K, 2) world-frame endpoints of the beams that hit, in beam
+        order; built on first read, read-only. Each endpoint takes one
+        multiply and one add per coordinate, from ``directions``."""
+        ranges = self.ranges
+        idx = (ranges < self.max_range).nonzero()[0]
+        points = np.empty((idx.shape[0], 2))
+        np.multiply(ranges[idx], self.directions[:, idx], out=points.T)
+        points += (self.origin.x, self.origin.y)
+        points.flags.writeable = False
+        return points
 
 
 def step_kinematics(
@@ -284,7 +301,6 @@ def scan(
     pose: Pose2D,
     n_beams: int,
     max_range: float,
-    tick: int = 0,
     noise_std: float = 0.0,
     noise_rng: random.Random | None = None,
 ) -> LidarScan:
@@ -306,7 +322,7 @@ def scan(
         noise = np.array([noise_rng.gauss(0.0, noise_std) for _ in range(n_beams)])
         ranges = np.clip(ranges + noise, 1e-6, max_range)
     ranges.flags.writeable = False
-    return LidarScan(ranges, pose, max_range, tick, directions)
+    return LidarScan(ranges, pose, max_range, directions)
 
 
 def clearance(world: WorldModel, x: float, y: float) -> float:
@@ -381,10 +397,10 @@ class DeviceSim:
 
     A noise-free sweep is a pure function of the pose in an immutable world,
     so while the pose equals the ``origin`` of the last noise-free sweep,
-    ``acquire_scan`` returns a copy of that sweep with the new tick, sharing
-    its ranges array instead of casting again (``scan`` makes every sweep's
-    ranges read-only).
-    With ``noise_std > 0`` every call casts and draws noise afresh. Likewise
+    ``acquire_scan`` returns that sweep object itself instead of casting
+    again: one sweep object per pose, and the same object means the same
+    sweep, current now. With ``noise_std > 0`` every call casts and draws
+    noise afresh, so every sweep is a new object. Likewise
     ``step`` keeps the ground-truth clearance it computed for the collision
     latch, and ``ground_truth_clearance`` returns it while the pose is
     unchanged.
@@ -430,17 +446,16 @@ class DeviceSim:
             self.stop()
         return self.state
 
-    def acquire_scan(self, tick: int) -> LidarScan:
+    def acquire_scan(self) -> LidarScan:
         pose = self.state.pose
         lidar = self.lidar
-        noisy = lidar.noise_std > 0.0
-        last = self._sweep
-        if not noisy and last is not None and last.origin == pose:
-            return replace(last, tick=tick)
-        sweep = scan(self.world, pose, lidar.beams, lidar.max_range, tick,
-                     lidar.noise_std, self.noise_rng)
-        if not noisy:
-            self._sweep = sweep
+        if lidar.noise_std > 0.0:
+            return scan(self.world, pose, lidar.beams, lidar.max_range,
+                        lidar.noise_std, self.noise_rng)
+        sweep = self._sweep
+        if sweep is None or sweep.origin != pose:
+            sweep = self._sweep = scan(self.world, pose, lidar.beams,
+                                       lidar.max_range)
         return sweep
 
     def ground_truth_clearance(self) -> float:

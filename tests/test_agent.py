@@ -23,6 +23,7 @@ from instinctsim.agent import (
     TaskState,
     _COMMAND_KEYS,
     _COMMAND_SCHEMA_PROMPT,
+    _num,
     hallucinate_wrap,
     parse_llm_commands,
     plan_rule,
@@ -414,6 +415,20 @@ class TestParseLlmCommands:
                            match="route of 257 points exceeds 256"):
             parse_llm_commands(reply(MAX_ROUTE_POINTS + 1), 0.5,
                                self.next_id(), now=0)
+
+    def test_route_cap_comes_before_converting_a_point(self, monkeypatch):
+        # the longest all-zero route that fits the reply cap
+        text = json.dumps([{"kind": "FOLLOW_PATH",
+                            "waypoints": [[0, 0]] * 10_916}],
+                          separators=(",", ":"))
+        assert len(text.encode()) == 65_534 <= MAX_REPLY_BYTES
+        calls = []
+        monkeypatch.setattr("instinctsim.agent._num",
+                            lambda value: calls.append(value) or _num(value))
+        with pytest.raises(MalformedCommandError,
+                           match="route of 10916 points exceeds 256"):
+            parse_llm_commands(text, 0.5, self.next_id(), now=0)
+        assert calls == []
 
     def test_route_cap_comes_before_the_points(self):
         route = ((1.0, 0.0),) * MAX_ROUTE_POINTS + ((math.nan, 0.0),)

@@ -50,10 +50,10 @@ PARAMS = InstinctParams()
 BOUNDS = Rect(-4.0, -4.0, 4.0, 4.0)
 
 
-def make_scan(ranges, tick=0, theta=0.0, max_range=5.0):
+def make_scan(ranges, theta=0.0, max_range=5.0):
     arr = np.asarray(ranges, dtype=float)
     return LidarScan(ranges=arr, origin=Pose2D(0.0, 0.0, theta),
-                     max_range=max_range, tick=tick)
+                     max_range=max_range)
 
 
 def idle_state(pose=Pose2D(0, 0, 0), **kw):
@@ -62,14 +62,14 @@ def idle_state(pose=Pose2D(0, 0, 0), **kw):
 
 class TestSummarize:
     def test_all_capped(self):
-        s = summarize(make_scan([5.0] * 36), idle_state(), Mode.NORMAL)
+        s = summarize(make_scan([5.0] * 36), idle_state(), Mode.NORMAL, 0)
         assert s.sector_min == tuple([5.0] * 8)
         assert s.nearest_range == 5.0
 
     def test_single_front_beam(self):
         ranges = [5.0] * 36
         ranges[0] = 1.5
-        s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL)
+        s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL, 0)
         assert s.sector_min[0] == 1.5
         assert s.sector_min[1:] == tuple([5.0] * 7)
         assert (s.nearest_bearing, s.nearest_range) == (0.0, 1.5)
@@ -78,7 +78,7 @@ class TestSummarize:
         rng = random.Random(17)
         for _ in range(25):
             ranges = [rng.uniform(0.2, 5.0) for _ in range(36)]
-            s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL)
+            s = summarize(make_scan(ranges), idle_state(), Mode.NORMAL, 0)
             # brute force: bucket each beam by its wrapped relative bearing
             expected = [5.0] * 8
             for i, r in enumerate(ranges):
@@ -91,7 +91,7 @@ class TestSummarize:
 
     def test_carries_robot_state(self):
         state = idle_state(pose=Pose2D(1, 2, 0.5), load=0.3)
-        s = summarize(make_scan([5.0] * 36, tick=7), state, Mode.SAFE)
+        s = summarize(make_scan([5.0] * 36), state, Mode.SAFE, 7)
         assert s.pose == state.pose
         assert s.load == 0.3
         assert s.mode is Mode.SAFE
@@ -114,7 +114,7 @@ class TestSummarize:
                            circles=(Circle(2.0, 0.0, 0.3),))
         stack = make_stack(world=world, pose=Pose2D(0.0, 0.0, math.pi / 2))
         sweep = scan(world, Pose2D(0.0, 0.0, 0.0), 36, 5.0)
-        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        stack.device.acquire_scan = lambda: sweep
         stack.controller.tick(0)
         (s,) = stack.data.poll(0)
         assert s.pose == sweep.origin
@@ -645,8 +645,8 @@ class TestObstacleBelief:
     def test_endpoints_only_for_hits(self):
         world = WorldModel(bounds=Rect(-10, -10, 10, 10),
                            circles=(Circle(2.0, 0.0, 0.5),))
-        sweep = scan(world, Pose2D(0, 0, 0), 36, 5.0, tick=3)
-        belief = ObstacleBelief.from_scan(sweep)
+        sweep = scan(world, Pose2D(0, 0, 0), 36, 5.0)
+        belief = ObstacleBelief.from_scan(sweep, 3)
         assert belief.built_tick == 3
         n_hits = int(np.sum(sweep.ranges < 5.0))
         assert belief.points.shape == (n_hits, 2)
@@ -664,7 +664,7 @@ class TestObstacleBelief:
                            circles=(Circle(3.0, 0.0, 0.5),))
         stack = make_stack(world=world)
         sweep = scan(world, Pose2D(0.5, 0.0, 0.0), 36, 5.0)
-        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        stack.device.acquire_scan = lambda: sweep
         stack.command.transmit(
             HighCommand(1, HighKind.MOVE_TO, 0, ((-2.0, 0.0),)), 0)
         for now in range(5):
@@ -674,7 +674,7 @@ class TestObstacleBelief:
             assert belief.origin == (0.5, 0.0)
             assert belief.built_tick == now
             assert np.array_equal(belief.points,
-                                  ObstacleBelief.from_scan(sweep).points)
+                                  ObstacleBelief.from_scan(sweep, now).points)
         motions = [e.payload for e in stack.recorder.events
                    if e.kind == "verdict" and e.payload["parent_id"] == 1]
         assert motions and all(p["safe"] for p in motions)
@@ -683,5 +683,5 @@ class TestObstacleBelief:
     def test_empty_world_empty_belief(self):
         world = WorldModel(bounds=Rect(-10, -10, 10, 10))
         sweep = scan(world, Pose2D(0, 0, 0), 36, 5.0)
-        belief = ObstacleBelief.from_scan(sweep)
+        belief = ObstacleBelief.from_scan(sweep, 0)
         assert belief.points.shape == (0, 2)

@@ -1,19 +1,20 @@
-"""Per-scan perception and the predictive-check kernel against frozen
+"""Per-sweep perception and the predictive-check kernel against frozen
 references.
 
-The fused ray cast, stationary scan reuse, per-scan perception, the scan
-digest, the belief points built on first read and the lean trajectory
-kernel must leave every floating-point result bit-identical, so each is
-compared here with ``==`` / ``np.array_equal`` against a reference that
-keeps the straightforward form: one obstacle at a time, a fresh scan, one
-``min`` per sector, every belief point built when the scan arrives, the
-plain sample loop.
+The fused ray cast, one sweep object per pose (a stationary noise-free
+device hands back the sweep it last cast), one reduction per sweep object,
+the scan digest, the sweep's hit points built on first read and shared by
+every belief of that sweep, and the lean trajectory kernel must leave every
+floating-point result bit-identical, so each is compared here with ``==`` /
+``np.array_equal`` against a reference that keeps the straightforward form:
+one obstacle at a time, a fresh scan, one ``min`` per sector, every hit
+point built when the sweep arrives, the plain sample loop.
 """
 
 import math
 import random
+import functools
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def _reference_beam_geometry(n_beams):
     return rel, sectors, np.abs(rel) <= math.pi / 4.0 + 1e-12
 
 
-def reference_summarize(scan_, state, mode):
+def reference_summarize(scan_, state, mode, tick):
     """Eight fancy-index minima and ``np.argmin``."""
     rel, sectors, _ = _reference_beam_geometry(scan_.n_beams)
     mins = tuple(
@@ -120,7 +121,7 @@ def reference_summarize(scan_, state, mode):
         max_range=scan_.max_range,
         nearest_bearing=float(rel[nearest_idx]),
         nearest_range=float(scan_.ranges[nearest_idx]),
-        pose=state.pose, load=state.load, mode=mode, tick=scan_.tick,
+        pose=state.pose, load=state.load, mode=mode, tick=tick,
     )
 
 
@@ -273,15 +274,17 @@ def lidar_scans(draw, min_beams=4, max_beams=72):
     ranges = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     heading = draw(st.floats(-math.pi, math.pi))
     return LidarScan(ranges=ranges, origin=Pose2D(0.7, -1.2, heading),
-                     max_range=max_range, tick=draw(st.integers(0, 10**6)))
+                     max_range=max_range)
 
 
 class TestScanDigest:
     STATE = RobotState(pose=Pose2D(0.7, -1.2, 0.3), load=0.4)
+    TICK = 4321
 
     def _assert_matches_reference(self, scan_):
-        got = instinct.summarize(scan_, self.STATE, Mode.SAFE)
-        assert got == reference_summarize(scan_, self.STATE, Mode.SAFE)
+        got = instinct.summarize(scan_, self.STATE, Mode.SAFE, self.TICK)
+        assert got == reference_summarize(scan_, self.STATE, Mode.SAFE,
+                                          self.TICK)
         # a sector is occupied iff one of its beams hit (the belief's rule)
         _, sectors, _ = _reference_beam_geometry(scan_.n_beams)
         hits = scan_.ranges < scan_.max_range
@@ -296,8 +299,8 @@ class TestScanDigest:
         assert d == (got.sector_min, reference_front_min_range(scan_),
                      got.nearest_bearing, got.nearest_range)
         assert type(d.front_min) is float and type(d.nearest_range) is float
-        for belief in (instinct.ObstacleBelief.from_scan(scan_),
-                       instinct.ObstacleBelief.from_scan(scan_,
+        for belief in (instinct.ObstacleBelief.from_scan(scan_, 0),
+                       instinct.ObstacleBelief.from_scan(scan_, 0,
                                                          d.nearest_range)):
             assert belief.reach == reference_reach(scan_)
             points = belief.points
@@ -353,10 +356,11 @@ class TestFusedRayCast:
                                  noise_rng=random.Random(1))
                     # the directions a hand-built scan derives from its angles
                     bare = LidarScan(sweep.ranges, sweep.origin,
-                                     sweep.max_range, sweep.tick)
+                                     sweep.max_range)
                     assert np.array_equal(sweep.directions, bare.directions)
                     assert not sweep.directions.flags.writeable
-                    points = instinct.ObstacleBelief.from_scan(sweep).points
+                    points = instinct.ObstacleBelief.from_scan(sweep,
+                                                               0).points
                     want = reference_belief_points(sweep)
                     assert points.shape == want.shape
                     assert np.array_equal(points, want)
@@ -378,7 +382,7 @@ class TestFusedRayCast:
         assert "_slabs" not in repr(a) and "_circ" not in repr(a)
 
 
-# -- stationary scan reuse ----------------------------------------------------
+# -- one sweep object per pose -------------------------------------------------
 
 def _device(noise_std=0.0, seed=None):
     world = WorldModel(bounds=Rect(-4, -4, 4, 4),
@@ -390,41 +394,45 @@ def _device(noise_std=0.0, seed=None):
 
 
 class TestScanReuse:
-    def test_stationary_scan_shares_read_only_ranges(self):
+    def test_stationary_device_returns_the_same_sweep(self):
         dev = _device()
         dev.step(PHYSICS_DT)  # the heading settles through wrap_angle
-        first = dev.acquire_scan(tick=1)
+        first = dev.acquire_scan()
         dev.step(PHYSICS_DT)  # zero wheel command: the pose does not change
-        second = dev.acquire_scan(tick=2)
-        assert second.tick == 2
-        assert second.ranges is first.ranges
+        second = dev.acquire_scan()
+        assert second is first
         assert not second.ranges.flags.writeable
         with pytest.raises(ValueError):
             second.ranges[0] = 0.0
-        fresh = scan(dev.world, dev.state.pose, 36, 5.0, tick=2)
+        fresh = scan(dev.world, dev.state.pose, 36, 5.0)
         assert np.array_equal(second.ranges, fresh.ranges)
         assert second.origin == fresh.origin
         assert second.max_range == fresh.max_range
 
     def test_moving_robot_rescans(self):
         dev = _device()
-        first = dev.acquire_scan(tick=1)
+        first = dev.acquire_scan()
         dev.set_wheel_command(0.3, 0.35, 1)
         dev.step(PHYSICS_DT)
-        second = dev.acquire_scan(tick=2)
+        second = dev.acquire_scan()
+        assert second is not first
         assert second.ranges is not first.ranges
-        fresh = scan(dev.world, dev.state.pose, 36, 5.0, tick=2)
+        assert second.origin == dev.state.pose
+        fresh = scan(dev.world, dev.state.pose, 36, 5.0)
         assert np.array_equal(second.ranges, fresh.ranges)
 
     def test_noisy_lidar_never_reuses(self):
         dev = _device(noise_std=0.01, seed=5)
         ref_rng = random.Random(5)
         pose = dev.state.pose
-        for tick in range(3):
-            got = dev.acquire_scan(tick)
-            want = scan(dev.world, pose, 36, 5.0, tick=tick, noise_std=0.01,
+        seen = []
+        for _ in range(3):
+            got = dev.acquire_scan()
+            want = scan(dev.world, pose, 36, 5.0, noise_std=0.01,
                         noise_rng=ref_rng)
             assert np.array_equal(got.ranges, want.ranges)
+            assert all(got is not s for s in seen)
+            seen.append(got)
         assert dev.noise_rng.getstate() == ref_rng.getstate()
 
     def test_ground_truth_clearance_follows_the_pose(self):
@@ -440,29 +448,35 @@ class TestScanReuse:
 # -- per-scan perception in the instinct tick ----------------------------------
 
 def _count_summaries(monkeypatch):
-    ticks = []
+    """The sweeps ``reduce_sweep`` reduces, in order (kept alive, so each
+    identity is unique)."""
+    sweeps = []
     original = instinct.reduce_sweep
 
     def counting(scan_):
-        ticks.append(scan_.tick)
+        sweeps.append(scan_)
         return original(scan_)
 
     monkeypatch.setattr(instinct, "reduce_sweep", counting)
-    return ticks
+    return sweeps
 
 
 class TestPerScanPerception:
     WORLD = WorldModel(bounds=Rect(-4, -4, 4, 4),
                        circles=(Circle(1.5, 1.0, 0.4), Circle(-1.0, -1.5, 0.5)))
 
-    def test_reused_belief_is_restamped(self):
+    def test_repeated_sweep_belief_is_stamped_now_and_shares_its_points(
+            self):
         stack = make_stack(world=self.WORLD)
         stack.controller.tick(0)
         first = stack.controller.belief
+        sweep = stack.device.acquire_scan()
         stack.controller.tick(1)  # device not stepped: same pose, same sweep
         second = stack.controller.belief
-        assert second.built_tick == 1
-        assert second.points is first.points
+        assert second is not first
+        assert (first.built_tick, second.built_tick) == (0, 1)
+        assert second.points is sweep.hits
+        assert first.points is sweep.hits
         assert not second.points.flags.writeable
         # the fast path reads the reach only at the belief's origin
         assert (second.origin, second.reach) == (first.origin, first.reach)
@@ -479,11 +493,11 @@ class TestPerScanPerception:
             pose = stack.device.state.pose
             assert stack.controller.belief.origin == (pose.x, pose.y)
             fresh = instinct.summarize(
-                scan(stack.world, stack.device.state.pose, 36, 5.0, tick=now),
-                stack.device.state, stack.controller.mode)
+                scan(stack.world, stack.device.state.pose, 36, 5.0),
+                stack.device.state, stack.controller.mode, now)
             calls.pop()  # the reference summary above
             assert stack.data.poll(now) == [fresh]
-        assert len(calls) == len(set(calls))
+        assert len(calls) == len({id(s) for s in calls})
         assert 200 + 1 <= len(calls) <= 400 - 39
 
     def test_summary_carries_mode_set_mid_tick(self, monkeypatch):
@@ -498,13 +512,30 @@ class TestPerScanPerception:
             assert summary.mode is stack.controller.mode
             assert summary.tick == now
         assert summary.mode.value == "SAFE"
-        assert calls == [0]  # the robot never moved: one sweep, one digest
+        # the robot never moved: one sweep, one digest
+        assert calls == [stack.device.acquire_scan()]
 
 
-# -- belief points built on first read ----------------------------------------
+# -- hit points built on first read --------------------------------------------
+
+def _count_hit_builds(monkeypatch):
+    """The sweeps whose ``hits`` get built, in order."""
+    builds = []
+    original = LidarScan.__dict__["hits"].func
+
+    def counting(sweep):
+        builds.append(sweep)
+        return original(sweep)
+
+    hits = functools.cached_property(counting)
+    hits.__set_name__(LidarScan, "hits")
+    monkeypatch.setattr(LidarScan, "hits", hits)
+    return builds
+
 
 class TestPointsOnDemand:
-    def test_lazy_points_equal_the_eager_build(self):
+    def test_hits_equal_the_eager_build(self, monkeypatch):
+        builds = _count_hit_builds(monkeypatch)
         rng = random.Random(3)
         for n_beams in (4, 36, 37):
             for noise_std in (0.0, 0.02):
@@ -513,42 +544,42 @@ class TestPointsOnDemand:
                     pose = Pose2D(rng.uniform(-3.5, 3.5),
                                   rng.uniform(-3.5, 3.5),
                                   rng.uniform(-math.pi, math.pi))
-                    sweep = scan(world, pose, n_beams, 5.0, tick=7,
+                    sweep = scan(world, pose, n_beams, 5.0,
                                  noise_std=noise_std,
                                  noise_rng=random.Random(rng.random()))
-                    belief = instinct.ObstacleBelief.from_scan(sweep)
-                    restamped = belief.restamped(8)
-                    points = restamped.points  # a restamped belief builds
+                    builds.clear()
+                    points = sweep.hits
                     want = eager_belief_points(sweep)
                     assert points.dtype == want.dtype
                     assert points.shape == want.shape
                     assert np.array_equal(points, want)
                     assert not points.flags.writeable
-                    assert belief.points is points  # built once, shared
-                    assert restamped.built_tick == 8
-                    assert (restamped.origin, restamped.reach) == \
-                        (belief.origin, belief.reach)
-                    assert belief.reach == reference_reach(sweep)
+                    with pytest.raises(ValueError):
+                        points[...] = 0.0
+                    assert sweep.hits is points  # built once per sweep
+                    assert builds == [sweep]
+                    # the points of every belief of this sweep, read on
+                    # any later tick
+                    for tick in (7, 8):
+                        belief = instinct.ObstacleBelief.from_scan(sweep,
+                                                                   tick)
+                        assert belief.points is points
+                        assert belief.built_tick == tick
+                        assert belief.reach == reference_reach(sweep)
+                    assert builds == [sweep]
 
     def test_belief_drops_its_sweep_once_points_exist(self):
         sweep = scan(random_scenario(1).world, Pose2D(0.0, 0.0, 0.0), 36, 5.0)
-        belief = instinct.ObstacleBelief.from_scan(sweep)
+        belief = instinct.ObstacleBelief.from_scan(sweep, 0)
         alive = weakref.ref(sweep)
         del sweep
-        assert alive() is not None  # the points are not built yet
+        assert alive() is not None  # the points are not read yet
         belief.points
         assert alive() is None
 
     def test_only_the_full_check_builds_points_once_per_sweep(
             self, monkeypatch):
-        builds = []
-        original = instinct._SweepHits._build
-
-        def counting(hits):
-            builds.append(hits._scan.tick)
-            return original(hits)
-
-        monkeypatch.setattr(instinct._SweepHits, "_build", counting)
+        builds = _count_hit_builds(monkeypatch)
         world = WorldModel(bounds=Rect(-4, -4, 4, 4),
                            circles=(Circle(3.0, 0.0, 0.5),))
         stack = make_stack(world=world)
@@ -568,16 +599,16 @@ class TestPointsOnDemand:
         assert len(fast) == 20
         assert all(v["safe"] and v["bound"] == "disc" for v in fast)
         assert builds == []
-        # the turn goes on with sweeps cast 0.5 m from the pose: the belief
-        # is not at the pose, so every check is full; the stationary sweep
-        # builds its points in its first check, and the restamped beliefs
-        # reuse them
-        sweep = scan(world, Pose2D(0.5, 0.0, 0.0), 36, 5.0, tick=20)
-        stack.device.acquire_scan = lambda tick: replace(sweep, tick=tick)
+        # the turn goes on with one sweep cast 0.5 m from the pose: the
+        # belief is not at the pose, so every check is full; the repeated
+        # sweep builds its points in its first check, and the beliefs of
+        # later ticks reuse them
+        sweep = scan(world, Pose2D(0.5, 0.0, 0.0), 36, 5.0)
+        stack.device.acquire_scan = lambda: sweep
         for now in range(20, 30):
             stack.device.step(PHYSICS_DT)
             stack.controller.tick(now)
         full = verdicts(range(20, 30))
         assert len(full) == 10
         assert all(v["safe"] and "bound" not in v for v in full)
-        assert builds == [20]
+        assert builds == [sweep]

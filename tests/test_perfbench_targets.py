@@ -1,21 +1,30 @@
 """The benchmark's per-layer tracer wraps program functions by name
-(``perfbench/spans.py``, ``TARGETS``); a rename or deletion must fail here,
-not only in the benchmark's own suite."""
+(``perfbench/spans.py``, ``TARGETS``) and its workloads call the program
+(``perfbench/workloads.py``); a rename, a deletion or a signature change
+must fail here, not only in the benchmark's own suite."""
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from instinctsim import instinct, trace
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(SPANS, "perfbench_spans")
 
 
 def test_every_traced_name_exists():
@@ -34,3 +43,19 @@ def test_hooked_arguments_keep_their_names():
 
     assert params(instinct.safety_check)[0] == "low"
     assert params(trace.write_trace)[1] == "path"
+
+
+def test_one_traced_operation_of_each_workload_passes(tmp_path):
+    # one input per workload, seed 0, every TARGETS name wrapped: a call
+    # the wrapped program no longer accepts is a failed check here
+    workloads = load(WORKLOADS, "perfbench_workloads")
+    failed = {}
+    for name in workloads.WORKLOADS:
+        wl = workloads.make(name, str(tmp_path))
+        wl.size = 1
+        inputs = wl.inputs(0)
+        with load_spans().SpanRecorder().installed() as recorder:
+            outcomes, problems = wl.run_pass(inputs, recorder.begin_op)
+        assert len(outcomes) == 1
+        failed[name] = problems + outcomes[0].failures
+    assert failed == {name: [] for name in workloads.WORKLOADS}

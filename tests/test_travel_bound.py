@@ -81,8 +81,8 @@ def near_threshold_cases(draw):
     if near_point:  # a beam dead ahead, where a straight run heads
         ranges[0 if draw(st.booleans()) else draw(
             st.integers(0, n - 1))] = reach
-    sweep = LidarScan(np.array(ranges), Pose2D(x, y, theta), MAX_RANGE, 0)
-    belief = ObstacleBelief.from_scan(sweep)
+    sweep = LidarScan(np.array(ranges), Pose2D(x, y, theta), MAX_RANGE)
+    belief = ObstacleBelief.from_scan(sweep, 0)
     return Pose2D(x, y, theta), low, belief, bounds
 
 

@@ -381,5 +381,6 @@ class TestDeviceSim:
         w = WorldModel(bounds=BIG, circles=(Circle(2.0, 0.0, 0.5),))
         dev = DeviceSim(w, RobotState(pose=Pose2D(0, 0, 0)), RobotParams(),
                         LidarParams())
-        s = dev.acquire_scan(tick=4)
-        assert s.tick == 4 and s.ranges[0] == pytest.approx(1.5)
+        s = dev.acquire_scan()
+        assert s.origin == dev.state.pose
+        assert s.ranges[0] == pytest.approx(1.5)
