@@ -165,9 +165,10 @@ def reduce_sweep(scan: LidarScan) -> SweepDigest:
 
 def summarize(scan: LidarScan, state: RobotState, mode: Mode,
               tick: int) -> ScanSummary:
-    """The eight-sector digest the agent plans from, with ``state``'s pose
-    and load, ``mode`` and ``tick`` (``reduce_sweep``)."""
-    return reduce_sweep(scan).summary(scan.max_range, state.pose, state.load,
+    """The eight-sector digest the agent plans from, in the frame the sweep
+    was cast in (its origin), with ``state``'s load, ``mode`` and ``tick``
+    (``reduce_sweep``)."""
+    return reduce_sweep(scan).summary(scan.max_range, scan.origin, state.load,
                                       mode, tick)
 
 

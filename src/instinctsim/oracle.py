@@ -13,10 +13,10 @@ that steps one ``dt_fine`` at a time. It gives the same bits as that scalar
 loop, which ``tests/test_oracle.py`` keeps as the frozen reference.
 
 The distance to the belief is measured only for the points that can hold
-the minimum. Each chunk of samples has a bounding box, and a point is
-dropped before any square is formed when its gap to every box exceeds a
-real sample-to-point distance. The verdicts are the same bits as measuring
-every point; ``_obstacle_min`` gives the argument.
+the minimum. The whole path has one bounding box, and a point is dropped
+before any ``hypot`` is taken when its gap to the box exceeds its distance
+from the path's first or last sample. The verdicts are the same bits as
+measuring every point; ``_obstacle_min`` gives the argument.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .world import Pose2D, WorldModel, clearance, random_world, scan
 # Oracle clearances this close to d_min are attributed to integration
 # resolution; see docs/boundary_band.md for the derivation.
 BOUNDARY_BAND = 0.02
-
-# Samples per bounding box in ``_obstacle_min``'s pruning.
-_CHUNK = 48
 
 
 @dataclass(frozen=True)
@@ -176,23 +173,10 @@ def _fine_path(
     return px, py
 
 
-def _squares(points: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Squared distances, point-major: (points, samples)."""
-    d2 = points[:, :1] - px
-    d2 *= d2
-    dy2 = points[:, 1:] - py
-    dy2 *= dy2
-    d2 += dy2
-    return d2
-
-
-def _chunk_gaps(p: np.ndarray, s: np.ndarray,
-                starts: np.ndarray) -> np.ndarray:
-    """Squared gaps, (values, chunks), from each value in the column ``p``
-    to the span of ``s`` over each chunk that begins at ``starts``; zero
-    inside a span."""
-    g = np.maximum(np.minimum.reduceat(s, starts) - p,
-                   p - np.maximum.reduceat(s, starts))
+def _box_gaps(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared gaps from each value in ``p`` to the span of ``s``; zero
+    inside the span."""
+    g = np.maximum(s.min() - p, p - s.max())
     np.maximum(g, 0.0, out=g)
     g *= g
     return g
@@ -201,38 +185,27 @@ def _chunk_gaps(p: np.ndarray, s: np.ndarray,
 def _obstacle_min(px: np.ndarray, py: np.ndarray, points: np.ndarray) -> float:
     """Least ``hypot`` from any sample to any belief point.
 
-    The squared distances pick the candidates and ``hypot`` is taken only on
-    pairs within a relative 1e-9 of the least square. That gives the same
-    float as ``hypot`` over all pairs: a squared distance carries a relative
-    rounding error of a few 1e-16 and ``hypot`` one ulp, so a pair whose
-    ``hypot`` ties or beats the least square's pair has a square within
-    ~1e-15 of the least, far inside 1e-9. The 1e-300 floor keeps this true
-    where squares underflow (distances below 1e-150 m).
-
-    Only the points that can hold a candidate are squared against every
-    sample. The samples are cut into chunks of ``_CHUNK``. The squares from
-    every chunk's first sample give ``u2``, a real pair's square and so at
-    least the least one. A point's squared gap to a chunk's bounding box is
-    no larger than its square to any sample in the box: each coordinate gap
-    is no larger than the sample's, and rounding is monotone, so this holds
-    for the computed floats too. A point is kept if its least gap over the
-    boxes is within ``max(u2 * (1 + 1e-6), 1e-300)``; the relative slack is
-    spare. The candidate cut is ``max(least * (1 + 1e-9), 1e-300)`` with
-    least <= ``u2``, so every pair within it belongs to a kept point, the
-    least pair among them. The kept rows then give the same least square,
-    the same candidates and the same float. Without the 1e-300 in the keep
-    bound, an underflowed ``u2`` of 0 could drop a point whose square is a
-    subnormal yet whose ``hypot`` is the least.
+    ``hypot`` is taken against every sample only for the points that can
+    hold the least. The squares from the path's first and last samples
+    give ``u2``; a point is kept if its squared gap to the bounding box of
+    the whole path is within ``max(u2 * (1 + 1e-6), 1e-300)``. Two facts
+    make this the same float as ``hypot`` over every pair. A point's squared
+    box gap is no larger than its computed square to any sample: each
+    coordinate gap is no larger than the sample's, and rounding is
+    monotone. A pair whose ``hypot`` ties or beats every other pair's has a
+    square within a few 1e-16 of the least square, and so of ``u2`` or
+    less: a square carries a relative rounding error of a few 1e-16 and
+    ``hypot`` one ulp. So that pair's point is kept; the relative 1e-6 is
+    spare. The 1e-300 floor keeps it where squares underflow (distances
+    below 1e-150 m): an underflowed ``u2`` of 0 could otherwise drop a
+    point whose square is a subnormal yet whose ``hypot`` is the least.
     """
-    starts = np.arange(0, px.shape[0], _CHUNK)
-    u2 = float(_squares(points, px[::_CHUNK], py[::_CHUNK]).min())
-    gaps = _chunk_gaps(points[:, :1], px, starts)
-    gaps += _chunk_gaps(points[:, 1:], py, starts)
-    points = points[gaps.min(axis=1) <= max(u2 * (1.0 + 1e-6), 1e-300)]
-    d2 = _squares(points, px, py)
-    cut = max(float(d2.min()) * (1.0 + 1e-9), 1e-300)
-    i, j = np.nonzero(d2 <= cut)
-    return float(np.min(np.hypot(px[j] - points[i, 0], py[j] - points[i, 1])))
+    ends = points[:, None] - ((px[0], py[0]), (px[-1], py[-1]))  # (K, 2, xy)
+    ends *= ends
+    u2 = float((ends[..., 0] + ends[..., 1]).min())
+    kept = points[_box_gaps(points[:, 0], px) + _box_gaps(points[:, 1], py)
+                  <= max(u2 * (1.0 + 1e-6), 1e-300)]
+    return float(np.min(np.hypot(px - kept[:, :1], py - kept[:, 1:])))
 
 
 def oracle_safety(

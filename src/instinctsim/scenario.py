@@ -255,7 +255,10 @@ def _check(sc: Scenario) -> None:
     i = sc.instinct
     require(i.d_min < i.d_stop < i.d_slow,
             "instinct requires d_min < d_stop < d_slow")
+    require(i.d_min > 0.0, "instinct.d_min must be positive")
     require(i.dt_pred > 0.0, "instinct.dt_pred must be positive")
+    require(i.stale_limit >= 0, "instinct.stale_limit must be >= 0")
+    require(i.overload_window >= 1, "instinct.overload_window must be >= 1")
     require(sc.agent.backend in BACKENDS,
             f"agent.backend unknown: {sc.agent.backend!r}")
     require(sc.agent.period_ticks >= 1, "agent.period_ticks must be >= 1")

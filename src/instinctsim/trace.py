@@ -62,17 +62,16 @@ class TraceRecorder:
         self.sinks = list(sinks or [])
         self._tick = 0
         self._seq = 0
-        self._started = False
         self._lock = threading.Lock()
 
     def begin_tick(self, tick: int) -> None:
         """Start (or re-enter) a tick; seq resets only on a tick change, so
-        several layers can call this for the same tick safely."""
+        several layers can call this for the same tick safely. A new
+        recorder is in tick 0."""
         with self._lock:
-            if tick != self._tick or not self._started:
+            if tick != self._tick:
                 self._tick = tick
                 self._seq = 0
-                self._started = True
 
     def emit(self, layer: str, kind: str, payload: dict) -> TraceEvent:
         with self._lock:

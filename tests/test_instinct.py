@@ -90,9 +90,13 @@ class TestSummarize:
             assert s.nearest_range == pytest.approx(min(ranges))
 
     def test_carries_robot_state(self):
-        state = idle_state(pose=Pose2D(1, 2, 0.5), load=0.3)
-        s = summarize(make_scan([5.0] * 36), state, Mode.SAFE, 7)
-        assert s.pose == state.pose
+        # the pose is the sweep's origin, the frame its sectors are in; the
+        # state gives only the load
+        sweep = LidarScan(ranges=np.full(36, 5.0), origin=Pose2D(1, 2, 0.5),
+                          max_range=5.0)
+        state = idle_state(pose=Pose2D(-1, 0, 2.0), load=0.3)
+        s = summarize(sweep, state, Mode.SAFE, 7)
+        assert s.pose == sweep.origin
         assert s.load == 0.3
         assert s.mode is Mode.SAFE
         assert s.tick == 7

@@ -17,7 +17,6 @@ from instinctsim.messages import LowCommand, LowKind, SafetyVerdict, VerdictReas
 from instinctsim.oracle import (
     AgreementReport,
     ScenarioCase,
-    _CHUNK,
     _fine_path,
     _obstacle_min,
     agreement_report,
@@ -300,11 +299,11 @@ def brute_obstacle_min(px, py, points):
 def paths_and_clouds(draw):
     """A sample path and a belief cloud around it, both scaled together.
 
-    Paths are stationary (zero wheels) or random walks whose length sits on
-    either side of the chunk size. Clouds are random, copies of samples
-    (duplicates included, so several pairs tie at 0), on the edges of a
-    chunk's bounding box, or moved 1e6 m away. A scale of 1e-160 or 1e-200
-    puts every square at or below the underflow floor.
+    Paths are stationary (zero wheels) or random walks of 1 to about 1,000
+    samples. Clouds are random, copies of samples (duplicates included, so
+    several pairs tie at 0), on the edges of the whole path's bounding box,
+    or moved 1e6 m away. A scale of 1e-160 or 1e-200 puts every square at
+    or below the underflow floor.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -313,9 +312,7 @@ def paths_and_clouds(draw):
                             draw(st.integers(1, 200)) * PHYSICS_DT, 0.002,
                             ROBOT)
     else:
-        n = draw(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                                  2 * _CHUNK, 2 * _CHUNK + 1])
-                 | st.integers(1, 20 * _CHUNK))
+        n = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 1000))
         step = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
         px = np.cumsum(rng.normal(0.0, step, n))
         py = np.cumsum(rng.normal(0.0, step, n))
@@ -326,9 +323,7 @@ def paths_and_clouds(draw):
         pick = rng.integers(0, px.shape[0], m)
         points[: m // 2 + 1] = np.column_stack((px, py))[pick][: m // 2 + 1]
     elif cloud == "box_edge":
-        c = int(rng.integers(0, (px.shape[0] - 1) // _CHUNK + 1))
-        box = [(a.min(), a.max()) for a in (px[c * _CHUNK:(c + 1) * _CHUNK],
-                                            py[c * _CHUNK:(c + 1) * _CHUNK])]
+        box = [(a.min(), a.max()) for a in (px, py)]
         on_edge = [rng.choice(edges, m) for edges in box]
         across = [rng.uniform(lo - 0.01, hi + 0.01, m) for lo, hi in box]
         on_x = rng.random(m) < 0.5  # on an x edge, else on a y edge
@@ -348,11 +343,22 @@ class TestPrunedObstacleMin:
         assert _obstacle_min(px, py, points) == \
             brute_obstacle_min(px, py, points)
 
+    def test_nearest_point_mid_path(self):
+        # a straight run from (-2, 0) to (2, 0): the point above its middle
+        # is 0.1 m from the path yet about 2 m from either end, while the
+        # decoys sit closer to the ends than it does
+        px = np.linspace(-2.0, 2.0, 801)
+        py = np.zeros(801)
+        points = np.array([[0.0, 0.1], [-2.3, 0.0], [2.0, -0.4],
+                           [0.0, 3.0]])
+        assert _obstacle_min(px, py, points) == \
+            brute_obstacle_min(px, py, points) == 0.1
+
     def test_underflowed_upper_bound_keeps_subnormal_pairs(self):
         # on a stationary path at the origin, (1.5e-162, 1.5e-162) squares to
         # 0 + 0 and gives the upper bound 0, while (1.6e-162, 0) squares to
         # the least subnormal: its box gap is not 0, yet its hypot is least
-        px = py = np.zeros(3 * _CHUNK)
+        px = py = np.zeros(150)
         points = np.array([[1.5e-162, 1.5e-162], [1.6e-162, 0.0]])
         assert _obstacle_min(px, py, points) == 1.6e-162 == \
             brute_obstacle_min(px, py, points)

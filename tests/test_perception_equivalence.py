@@ -121,7 +121,7 @@ def reference_summarize(scan_, state, mode, tick):
         max_range=scan_.max_range,
         nearest_bearing=float(rel[nearest_idx]),
         nearest_range=float(scan_.ranges[nearest_idx]),
-        pose=state.pose, load=state.load, mode=mode, tick=tick,
+        pose=scan_.origin, load=state.load, mode=mode, tick=tick,
     )
 
 

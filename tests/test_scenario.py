@@ -81,6 +81,19 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="start"):
             parse_scenario(raw)
 
+    # each of these switches a guarantee or a guard off: d_min <= 0 lets the
+    # check approve contact, a negative stale_limit refuses every motion and
+    # an overload_window of 0 latches overload safe mode from tick 0
+    @pytest.mark.parametrize("instinct, where", [
+        ({"d_min": -0.3, "d_stop": 0.0, "d_slow": 0.1}, "instinct.d_min"),
+        ({"d_min": 0.0}, "instinct.d_min"),
+        ({"stale_limit": -1}, "instinct.stale_limit"),
+        ({"overload_window": 0}, "instinct.overload_window"),
+    ], ids=["d_min-negative", "d_min-zero", "stale_limit", "overload_window"])
+    def test_threshold_that_disables_a_guard_rejected(self, instinct, where):
+        with pytest.raises(ScenarioError, match=re.escape(where)):
+            parse_scenario(with_change(("instinct",), instinct))
+
     def test_bad_goal_kind(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["tasks"] = [{"issue_tick": 0, "goal": {"kind": "TELEPORT"}}]

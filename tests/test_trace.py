@@ -47,6 +47,16 @@ class TestRecorder:
         rec.emit("INSTINCT", "status", {"safe": True})
         assert [(e.tick, e.seq) for e in rec.events] == [(4, 0), (4, 1)]
 
+    def test_emit_before_first_begin_tick_keeps_seq(self):
+        # the recorder starts at tick 0, so entering tick 0 is a re-entry
+        auditor = TraceAuditor()
+        rec = TraceRecorder(sinks=[auditor])
+        rec.emit("DEVICE", "state", {})
+        rec.begin_tick(0)
+        rec.emit("INSTINCT", "status", {"safe": True})
+        assert [(e.tick, e.seq) for e in rec.events] == [(0, 0), (0, 1)]
+        assert not any("ordering" in v for v in auditor.violations)
+
     def test_store_false_still_feeds_sinks(self):
         seen = []
         rec = TraceRecorder(store=False, sinks=[seen.append])
