@@ -26,22 +26,20 @@ the full check.
 Perception is computed once per sweep, and only as far as it is read.
 There is one sweep object per pose: while the robot stands still a
 noise-free device hands back the sweep it last cast (``DeviceSim``), and
-that object is current. A sweep is reduced on the first tick that reads
-it (``reduce_sweep``): the eight sector minima and the front minimum come
-from one ``np.minimum.reduceat`` over the beams grouped by sector with the
-front beams appended, an index cached per beam count, and one ``argmin``
-gives the nearest return, whose range is also the belief's reach. Every
-summary sent while that sweep is current (roaming, the end-of-tick
-reports) reuses that digest in the frame the sweep was cast in, with the
-device's current load, the layer's own mode and the tick. Each tick builds
-a small belief stamped with its own tick; its points are the sweep's hits
-(``LidarScan.hits``), built on first read, at most once per sweep: only
-the full predictive check reads them, so a tick whose motions the travel
-bound approves never builds them. Where a sweep was cast and how its beams
-lie is the sweep's own (``LidarScan.origin``, ``world.beam_offsets``), so
-the belief lands where its sweep was cast, whatever the pose is now.
-Sweeps and their hits are read-only, because they are shared and read
-after the tick that cast them.
+that object is current. The sweep owns what is derived from it, built on
+first read and shared by every reader: its ``digest`` (the sector minima,
+the front minimum and the nearest return, whose range is also the
+belief's reach) and its ``hits``. The controller reads a sweep only
+through ``front_min_range``, ``summarize`` and ``ObstacleBelief.from_scan``.
+Every summary is in the frame the sweep was cast in, with the device's
+current load, the layer's own mode and the tick. Each tick builds a small
+belief stamped with its own tick; only the full predictive check reads its
+points, so a tick whose motions the travel bound approves never builds
+them. Where a sweep was cast and how its beams lie is the sweep's own
+(``LidarScan.origin``, ``world.beam_offsets``), so the belief lands where
+its sweep was cast, whatever the pose is now. Sweeps, their digests and
+their hits are read-only, because they are shared and read after the tick
+that cast them.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
@@ -57,12 +55,10 @@ recomputing everything per step.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,14 +71,12 @@ from .messages import (
     HighKind,
     LowCommand,
     LowKind,
+    MAX_QUEUED_COMMANDS,
     MalformedCommandError,
     Mode,
-    N_SECTORS,
     SafetyVerdict,
     ScanSummary,
     VerdictReason,
-    sector_angle,
-    sector_index,
 )
 from .trace import TraceRecorder
 from .world import (
@@ -92,89 +86,24 @@ from .world import (
     Pose2D,
     Rect,
     RobotState,
-    beam_offsets,
+    sector_angle,
     wrap_angle,
 )
 
 
-class _BeamGeometry(NamedTuple):
-    """Per-beam-count geometry of the sweep reduction. ``index`` lists the
-    beams grouped by sector, sectors ascending, then the front group: the
-    beams within +-45 deg of the heading. ``starts`` says where each group
-    begins, non-empty sectors only."""
-
-    bearing: list[float]  # each beam's wrapped bearing relative to the heading
-    index: np.ndarray
-    starts: np.ndarray
-    empty: tuple[int, ...]  # sectors without a beam, ascending
-
-
-@functools.lru_cache(maxsize=32)
-def _beam_geometry(n_beams: int) -> _BeamGeometry:
-    rel = np.mod(beam_offsets(n_beams) + math.pi, 2.0 * math.pi) - math.pi
-    bearing = rel.tolist()
-    sector = np.array([sector_index(b) for b in bearing])
-    order = np.argsort(sector, kind="stable")
-    counts = np.bincount(sector, minlength=N_SECTORS)
-    starts = (np.cumsum(counts) - counts)[counts > 0]
-    # never empty (beam 0 lies dead ahead), as reduceat needs
-    front = np.flatnonzero(np.abs(rel) <= math.pi / 4.0 + 1e-12)
-    index = np.concatenate((order, front))
-    starts = np.append(starts, n_beams)
-    index.flags.writeable = False
-    starts.flags.writeable = False
-    return _BeamGeometry(bearing, index, starts,
-                         tuple(np.flatnonzero(counts == 0).tolist()))
-
-
-class SweepDigest(NamedTuple):
-    """What the status, the summaries and the belief read of one sweep.
-
-    Sector 0 is centered on the heading; a sector with no beams reports
-    max_range (no information reads as no return).
-    """
-
-    sector_min: tuple[float, ...]
-    front_min: float        # minimum return within +-45 deg of the heading
-    nearest_bearing: float  # the nearest return's bearing from the heading
-    nearest_range: float    # and its range (max_range when nothing hit)
-
-    def summary(self, max_range: float, pose: Pose2D, load: float,
-                mode: Mode, tick: int) -> ScanSummary:
-        """The ``ScanSummary`` of this digest, in the frame of ``pose``."""
-        return ScanSummary(self.sector_min, max_range, self.nearest_bearing,
-                           self.nearest_range, pose, load, mode, tick)
-
-
-def reduce_sweep(scan: LidarScan) -> SweepDigest:
-    """Reduce a sweep once: one fancy index groups the beams by sector and
-    appends the front beams, one ``np.minimum.reduceat`` takes every
-    group's minimum, and one ``argmin`` finds the nearest return. A minimum
-    is exact in any order, so these equal per-group ``min`` calls.
-    """
-    g = _beam_geometry(scan.n_beams)
-    ranges = scan.ranges
-    mins = np.minimum.reduceat(ranges[g.index], g.starts).tolist()
-    front_min = mins.pop()
-    for k in g.empty:
-        mins.insert(k, scan.max_range)
-    nearest = int(ranges.argmin())
-    return SweepDigest(tuple(mins), front_min, g.bearing[nearest],
-                       float(ranges[nearest]))
-
-
 def summarize(scan: LidarScan, state: RobotState, mode: Mode,
               tick: int) -> ScanSummary:
-    """The eight-sector digest the agent plans from, in the frame the sweep
-    was cast in (its origin), with ``state``'s load, ``mode`` and ``tick``
-    (``reduce_sweep``)."""
-    return reduce_sweep(scan).summary(scan.max_range, scan.origin, state.load,
-                                      mode, tick)
+    """The eight-sector digest the agent plans from (``LidarScan.digest``),
+    in the frame the sweep was cast in (its origin), with ``state``'s load,
+    ``mode`` and ``tick``. The one builder of a sweep's ``ScanSummary``."""
+    d = scan.digest
+    return ScanSummary(d.sector_min, scan.max_range, d.nearest_bearing,
+                       d.nearest_range, scan.origin, state.load, mode, tick)
 
 
 def front_min_range(scan: LidarScan) -> float:
     """Minimum return within +-45 degrees of the heading."""
-    return reduce_sweep(scan).front_min
+    return scan.digest.front_min
 
 
 class ObstacleBelief:
@@ -212,13 +141,10 @@ class ObstacleBelief:
         return p
 
     @classmethod
-    def from_scan(cls, scan: LidarScan, tick: int,
-                  nearest: float | None = None) -> "ObstacleBelief":
-        """The belief of a sweep read at ``tick``, at the sweep's origin.
-        ``nearest`` is the sweep's least range, for a caller that has
-        reduced the sweep already."""
-        if nearest is None:
-            nearest = float(scan.ranges.min())
+    def from_scan(cls, scan: LidarScan, tick: int) -> "ObstacleBelief":
+        """The belief of a sweep read at ``tick``, at the sweep's origin;
+        its reach is the sweep's nearest return (``LidarScan.digest``)."""
+        nearest = scan.digest.nearest_range
         reach = math.inf if nearest >= scan.max_range else nearest
         return cls(scan, tick, (scan.origin.x, scan.origin.y), reach)
 
@@ -598,8 +524,7 @@ class InstinctController:
         self.overload_ticks = 0
         self.safe_streak = 0
         self._low_id = 0
-        self._scan: LidarScan | None = None  # the last sweep reduced
-        self._digest: SweepDigest | None = None  # and its reduction
+        self._scan: LidarScan | None = None  # this tick's sweep
 
     # -- helpers ----------------------------------------------------------
 
@@ -663,7 +588,8 @@ class InstinctController:
 
     def _poll_commands(self, now: int, holding: bool) -> None:
         """Validate every command due now. A malformed one is refused; a
-        valid one is queued, or answered SAFE_MODE while safe mode holds."""
+        valid one is queued, answered SAFE_MODE while safe mode holds, or
+        refused QUEUE_FULL when ``MAX_QUEUED_COMMANDS`` already wait."""
         for cmd in self.command_channel.poll(now):
             try:
                 cmd.validate(self.device.robot.v_wheel_max)
@@ -677,6 +603,8 @@ class InstinctController:
                                cmd.to_payload())
             if holding:
                 status, reason = FeedbackStatus.SAFE_MODE, "SAFE_MODE"
+            elif len(self.queue) >= MAX_QUEUED_COMMANDS:
+                status, reason = FeedbackStatus.REFUSED, "QUEUE_FULL"
             else:
                 self.queue.append(cmd)
                 status, reason = FeedbackStatus.ACCEPTED, "QUEUED"
@@ -774,27 +702,19 @@ class InstinctController:
         """Set this tick's belief from the sweep read at ``now``, at the
         sweep's origin, and return front_min.
 
-        A sweep object is reduced once (``reduce_sweep``), on the first tick
-        that reads it; the device hands back the same object while it stands
-        still, and that object is current. Every tick gets a belief stamped
-        ``now``, whose points are the sweep's ``hits``, built by the first
-        full check that reads them and shared by every later belief of the
-        sweep.
+        Whatever is derived from the sweep is built on the sweep, once
+        (``LidarScan.digest``, ``LidarScan.hits``): the device hands back
+        the same object while it stands still, and every tick's belief,
+        stamped ``now``, shares that object's reduction and points.
         """
-        if scan is not self._scan:
-            self._scan = scan
-            self._digest = reduce_sweep(scan)
-        d = self._digest
-        self.belief = ObstacleBelief.from_scan(scan, now, d.nearest_range)
-        return d.front_min
+        self._scan = scan
+        self.belief = ObstacleBelief.from_scan(scan, now)
+        return front_min_range(scan)
 
     def _summary(self, now: int) -> ScanSummary:
-        """The sweep's sector digest in the frame it was cast in (the
-        sweep's origin), with the device's current load and the latch's
-        mode (safe-mode handling can change it mid-tick)."""
-        scan = self._scan
-        return self._digest.summary(scan.max_range, scan.origin,
-                                    self.device.state.load, self.mode, now)
+        """This tick's sweep summarized with the device's current load and
+        the latch's mode (safe-mode handling can change it mid-tick)."""
+        return summarize(self._scan, self.device.state, self.mode, now)
 
     def _roam(self, scale: float, now: int) -> None:
         vl, vr = roam_intent(self._summary(now), self.roam_rng,

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .world import Pose2D, wrap_angle
+from .world import N_SECTORS, Pose2D, sector_angle, sector_index, wrap_angle
 
-N_SECTORS = 8  # sectors of a ScanSummary; sector 0 is centered on the heading
 MAX_ROUTE_POINTS = 256  # points of one HighCommand's route
+MAX_QUEUED_COMMANDS = 16  # accepted commands waiting behind the active one
 
 
 class MalformedCommandError(ValueError):
@@ -255,13 +255,3 @@ class ScanSummary:
             "mode": self.mode.value,
             "tick": self.tick,
         }
-
-
-def sector_index(bearing: float) -> int:
-    """Sector of a robot-frame bearing; sector k is centered at k * (2pi/8)."""
-    return int(round(bearing / (2.0 * math.pi / N_SECTORS))) % N_SECTORS
-
-
-def sector_angle(index: int) -> float:
-    """Robot-frame bearing of a sector center, wrapped to (-pi, pi]."""
-    return wrap_angle(index * 2.0 * math.pi / N_SECTORS)

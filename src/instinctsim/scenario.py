@@ -259,6 +259,8 @@ def _check(sc: Scenario) -> None:
     require(i.dt_pred > 0.0, "instinct.dt_pred must be positive")
     require(i.stale_limit >= 0, "instinct.stale_limit must be >= 0")
     require(i.overload_window >= 1, "instinct.overload_window must be >= 1")
+    require(0.0 < i.overload_threshold <= 1.0,
+            "instinct.overload_threshold must be in (0, 1]")
     require(sc.agent.backend in BACKENDS,
             f"agent.backend unknown: {sc.agent.backend!r}")
     require(sc.agent.period_ticks >= 1, "agent.period_ticks must be >= 1")

@@ -12,6 +12,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ OMEGA_STRAIGHT_EPS = 1e-9
 # Ray parameter floor: intersections at t <= this are treated as the origin
 # sitting on a surface and skipped in favour of the next one.
 RAY_T_EPS = 1e-12
+N_SECTORS = 8  # sectors of a sweep's digest; sector 0 is centered on the heading
 
 
 def wrap_angle(angle: float) -> float:
@@ -156,8 +158,9 @@ class LidarScan:
 
     A sweep is a value of its pose, not of a time: when it was read is the
     reader's ``now``, and one sweep object may be read on many ticks
-    (``DeviceSim.acquire_scan``). What is derived from it lives on it, so
-    every reader shares one build: ``hits``.
+    (``DeviceSim.acquire_scan``). What is derived from it lives on it, built
+    on first read, so every reader shares one build: the hit points
+    (``hits``) and the sector reduction (``digest``).
 
     ``directions`` holds each beam's unit direction as ``unit_directions``
     gives it, (2, n) and read-only. ``scan`` passes the directions it cast
@@ -192,6 +195,23 @@ class LidarScan:
         points += (self.origin.x, self.origin.y)
         points.flags.writeable = False
         return points
+
+    @functools.cached_property
+    def digest(self) -> SweepDigest:
+        """The sweep reduced once: one fancy index groups the beams by
+        sector and appends the front beams, one ``np.minimum.reduceat``
+        takes every group's minimum, and one ``argmin`` finds the nearest
+        return. A minimum is exact in any order, so these equal per-group
+        ``min`` calls."""
+        g = _beam_geometry(self.n_beams)
+        ranges = self.ranges
+        mins = np.minimum.reduceat(ranges[g.index], g.starts).tolist()
+        front_min = mins.pop()
+        for k in g.empty:
+            mins.insert(k, self.max_range)
+        nearest = int(ranges.argmin())
+        return SweepDigest(tuple(mins), front_min, g.bearing[nearest],
+                           float(ranges[nearest]))
 
 
 def step_kinematics(
@@ -294,6 +314,60 @@ def beam_offsets(n_beams: int) -> np.ndarray:
     offsets = (TWO_PI / n_beams) * np.arange(n_beams)
     offsets.flags.writeable = False
     return offsets
+
+
+def sector_index(bearing: float) -> int:
+    """Sector of a robot-frame bearing; sector k is centered at k * (2pi/8)."""
+    return int(round(bearing / (2.0 * math.pi / N_SECTORS))) % N_SECTORS
+
+
+def sector_angle(index: int) -> float:
+    """Robot-frame bearing of a sector center, wrapped to (-pi, pi]."""
+    return wrap_angle(index * 2.0 * math.pi / N_SECTORS)
+
+
+class _BeamGeometry(NamedTuple):
+    """Per-beam-count geometry of the sweep reduction. ``index`` lists the
+    beams grouped by sector, sectors ascending, then the front group: the
+    beams within +-45 deg of the heading. ``starts`` says where each group
+    begins, non-empty sectors only."""
+
+    bearing: list[float]  # each beam's wrapped bearing relative to the heading
+    index: np.ndarray
+    starts: np.ndarray
+    empty: tuple[int, ...]  # sectors without a beam, ascending
+
+
+@functools.lru_cache(maxsize=32)
+def _beam_geometry(n_beams: int) -> _BeamGeometry:
+    rel = np.mod(beam_offsets(n_beams) + math.pi, 2.0 * math.pi) - math.pi
+    bearing = rel.tolist()
+    sector = np.array([sector_index(b) for b in bearing])
+    order = np.argsort(sector, kind="stable")
+    counts = np.bincount(sector, minlength=N_SECTORS)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    # never empty (beam 0 lies dead ahead), as reduceat needs
+    front = np.flatnonzero(np.abs(rel) <= math.pi / 4.0 + 1e-12)
+    index = np.concatenate((order, front))
+    starts = np.append(starts, n_beams)
+    index.flags.writeable = False
+    starts.flags.writeable = False
+    return _BeamGeometry(bearing, index, starts,
+                         tuple(np.flatnonzero(counts == 0).tolist()))
+
+
+class SweepDigest(NamedTuple):
+    """What the status, the summaries and the belief read of one sweep
+    (``LidarScan.digest``).
+
+    Sector 0 is centered on the heading; a sector with no beams reports
+    max_range (no information reads as no return).
+    """
+
+    sector_min: tuple[float, ...]
+    front_min: float        # minimum return within +-45 deg of the heading
+    nearest_bearing: float  # the nearest return's bearing from the heading
+    nearest_range: float    # and its range (max_range when nothing hit)
 
 
 def scan(

@@ -25,6 +25,7 @@ from instinctsim.messages import (
     HighKind,
     LowCommand,
     LowKind,
+    MAX_QUEUED_COMMANDS,
     MAX_ROUTE_POINTS,
     Mode,
     SafetyVerdict,
@@ -493,6 +494,24 @@ class TestSafetyCheck:
                          now=PARAMS.stale_limit + 1, physics_dt=PHYSICS_DT)
         assert not v.safe and v.reason is VerdictReason.LIMIT_EXCEEDED
 
+    def test_belief_aged_exactly_stale_limit_still_approves(self):
+        low = LowCommand(1, 2, LowKind.SET_WHEELS, 0.1, 0.1, 1)
+        v = safety_check(low, Pose2D(0, 0, 0), self.belief_at([3.0, 3.0]),
+                         BOUNDS, ROBOT, PARAMS,
+                         now=PARAMS.stale_limit, physics_dt=PHYSICS_DT)
+        assert v.safe and v.reason is VerdictReason.OK
+
+    def test_clearance_exactly_d_min_approves(self):
+        # dyadic values: the point lies exactly 0.5 m ahead, so the parked
+        # body keeps exactly d_min; the hand-built belief has no origin, so
+        # the travel bound declines and the full check decides
+        robot = replace(ROBOT, radius=0.25)
+        params = replace(PARAMS, d_min=0.25, d_stop=0.3)
+        low = LowCommand(1, 2, LowKind.SET_WHEELS, 0.0, 0.0, 1)
+        v = safety_check(low, Pose2D(0, 0, 0), self.belief_at([0.5, 0.0]),
+                         BOUNDS, robot, params, 0, PHYSICS_DT)
+        assert v == SafetyVerdict(True, 0.25, VerdictReason.OK)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("side", ["left", "right", "both"])
     def test_non_finite_wheel_speed_refused(self, bad, side):
@@ -594,6 +613,23 @@ class TestRefusal:
         assert [(f.status, f.reason) for f in fb] == [
             (FeedbackStatus.REFUSED, "MALFORMED")]
         assert not stack.controller.queue
+
+
+    def test_command_beyond_a_full_queue_refused(self, stack):
+        for cid in range(1, MAX_QUEUED_COMMANDS + 2):
+            stack.command.transmit(
+                HighCommand(cid, HighKind.ROTATE_TO, 0, theta=3.0), 0)
+        stack.controller.tick(0)
+        answers = [(f.command_id, f.status, f.reason, f.verdict)
+                   for f in stack.feedback.poll(0)
+                   if f.status is not FeedbackStatus.EXECUTING]
+        last = MAX_QUEUED_COMMANDS + 1
+        assert answers == [
+            (cid, FeedbackStatus.ACCEPTED, "QUEUED", None)
+            for cid in range(1, last)
+        ] + [(last, FeedbackStatus.REFUSED, "QUEUE_FULL", None)]
+        assert stack.controller.active.cmd.id == 1
+        assert [c.id for c in stack.controller.queue] == list(range(2, last))
 
 
 class TestTickContract:

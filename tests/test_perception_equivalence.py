@@ -294,19 +294,17 @@ class TestScanDigest:
         assert type(got.nearest_bearing) is float
         assert instinct.front_min_range(scan_) == \
             reference_front_min_range(scan_)
-        # the one reduction the controller runs per sweep
-        d = instinct.reduce_sweep(scan_)
+        # the one reduction each sweep gets
+        d = scan_.digest
         assert d == (got.sector_min, reference_front_min_range(scan_),
                      got.nearest_bearing, got.nearest_range)
         assert type(d.front_min) is float and type(d.nearest_range) is float
-        for belief in (instinct.ObstacleBelief.from_scan(scan_, 0),
-                       instinct.ObstacleBelief.from_scan(scan_, 0,
-                                                         d.nearest_range)):
-            assert belief.reach == reference_reach(scan_)
-            points = belief.points
-            want = reference_belief_points(scan_)
-            assert points.shape == want.shape
-            assert np.array_equal(points, want)
+        belief = instinct.ObstacleBelief.from_scan(scan_, 0)
+        assert belief.reach == reference_reach(scan_)
+        points = belief.points
+        want = reference_belief_points(scan_)
+        assert points.shape == want.shape
+        assert np.array_equal(points, want)
 
     @settings(max_examples=400, deadline=None)
     @given(scan_=lidar_scans())
@@ -448,16 +446,18 @@ class TestScanReuse:
 # -- per-scan perception in the instinct tick ----------------------------------
 
 def _count_summaries(monkeypatch):
-    """The sweeps ``reduce_sweep`` reduces, in order (kept alive, so each
-    identity is unique)."""
+    """The sweeps whose ``digest`` gets built, in order (kept alive, so
+    each identity is unique)."""
     sweeps = []
-    original = instinct.reduce_sweep
+    original = LidarScan.__dict__["digest"].func
 
-    def counting(scan_):
-        sweeps.append(scan_)
-        return original(scan_)
+    def counting(sweep):
+        sweeps.append(sweep)
+        return original(sweep)
 
-    monkeypatch.setattr(instinct, "reduce_sweep", counting)
+    digest = functools.cached_property(counting)
+    digest.__set_name__(LidarScan, "digest")
+    monkeypatch.setattr(LidarScan, "digest", digest)
     return sweeps
 
 

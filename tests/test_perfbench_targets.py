@@ -59,3 +59,21 @@ def test_one_traced_operation_of_each_workload_passes(tmp_path):
         assert len(outcomes) == 1
         failed[name] = problems + outcomes[0].failures
     assert failed == {name: [] for name in workloads.WORKLOADS}
+
+
+def test_every_tick_child_measures_the_tick(tmp_path):
+    # the seed-0 input of each simulating workload, traced: a tick child
+    # that no tick calls reads 0 in every metric named after it
+    workloads = load(WORKLOADS, "perfbench_workloads")
+    spans = load_spans()
+    called = set()
+    for name in ("hallucinate", "dropout"):
+        wl = workloads.make(name, str(tmp_path))
+        wl.size = 1
+        with spans.SpanRecorder().installed() as recorder:
+            (outcome,), _ = wl.run_pass(wl.inputs(0), recorder.begin_op)
+        called.update(recorder.names[i] for i in set(recorder.fn))
+        summaries = recorder.metrics(1, outcome.ticks, 1)[
+            "instinct.summarize.calls_per_tick"]
+        assert summaries >= 1.0, name
+    assert [n for n in spans.TICK_CHILDREN if n not in called] == []

@@ -82,14 +82,19 @@ class TestParsing:
             parse_scenario(raw)
 
     # each of these switches a guarantee or a guard off: d_min <= 0 lets the
-    # check approve contact, a negative stale_limit refuses every motion and
-    # an overload_window of 0 latches overload safe mode from tick 0
+    # check approve contact, a negative stale_limit refuses every motion, an
+    # overload_window of 0 latches overload safe mode from tick 0, and as
+    # the load lies in [0, 1], an overload_threshold above 1 never trips
+    # while one of 0 or less latches overload safe mode whatever the load
     @pytest.mark.parametrize("instinct, where", [
         ({"d_min": -0.3, "d_stop": 0.0, "d_slow": 0.1}, "instinct.d_min"),
         ({"d_min": 0.0}, "instinct.d_min"),
         ({"stale_limit": -1}, "instinct.stale_limit"),
         ({"overload_window": 0}, "instinct.overload_window"),
-    ], ids=["d_min-negative", "d_min-zero", "stale_limit", "overload_window"])
+        ({"overload_threshold": 1.5}, "instinct.overload_threshold"),
+        ({"overload_threshold": 0.0}, "instinct.overload_threshold"),
+    ], ids=["d_min-negative", "d_min-zero", "stale_limit", "overload_window",
+            "overload_threshold-above-1", "overload_threshold-zero"])
     def test_threshold_that_disables_a_guard_rejected(self, instinct, where):
         with pytest.raises(ScenarioError, match=re.escape(where)):
             parse_scenario(with_change(("instinct",), instinct))
