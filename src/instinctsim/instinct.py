@@ -31,15 +31,16 @@ first read and shared by every reader: its ``digest`` (the sector minima,
 the front minimum and the nearest return, whose range is also the
 belief's reach) and its ``hits``. The controller reads a sweep only
 through ``front_min_range``, ``summarize`` and ``ObstacleBelief.from_scan``.
-Every summary is in the frame the sweep was cast in, with the device's
-current load, the layer's own mode and the tick. Each tick builds a small
-belief stamped with its own tick; only the full predictive check reads its
-points, so a tick whose motions the travel bound approves never builds
-them. Where a sweep was cast and how its beams lie is the sweep's own
-(``LidarScan.origin``, ``world.beam_offsets``), so the belief lands where
-its sweep was cast, whatever the pose is now. Sweeps, their digests and
-their hits are read-only, because they are shared and read after the tick
-that cast them.
+Each tick builds one summary once its mode is settled; roaming reads it
+and the tick sends it last. It is in the frame the sweep was cast in, with
+the device's current load, the layer's own mode and the tick. Each tick
+builds a small belief stamped with its own tick; only the full predictive
+check reads its points, so a tick whose motions the travel bound approves
+never builds them. Where a sweep was cast and how its beams lie is the
+sweep's own (``LidarScan.origin``, ``world.beam_offsets``), so the belief
+lands where its sweep was cast, whatever the pose is now. Sweeps, their
+digests and their hits are read-only, because they are shared and read
+after the tick that cast them.
 
 The per-tick kernels keep NumPy calls few and give bit-identical results
 to their straightforward forms (frozen in
@@ -55,6 +56,7 @@ recomputing everything per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -523,14 +525,9 @@ class InstinctController:
         self.mode = Mode.NORMAL  # the safe-mode latch
         self.overload_ticks = 0
         self.safe_streak = 0
-        self._low_id = 0
-        self._scan: LidarScan | None = None  # this tick's sweep
+        self._low_ids = itertools.count(1)
 
     # -- helpers ----------------------------------------------------------
-
-    def _next_low_id(self) -> int:
-        self._low_id += 1
-        return self._low_id
 
     def _send_feedback(self, fb: Feedback) -> None:
         self.recorder.emit("INSTINCT", "feedback", fb.to_payload())
@@ -559,17 +556,6 @@ class InstinctController:
 
     # -- safe mode ---------------------------------------------------------
 
-    def _cancel_pending(self, now: int) -> None:
-        pending = []
-        if self.active is not None:
-            pending.append(self.active.cmd)
-            self.active = None
-        pending.extend(self.queue)
-        self.queue.clear()
-        for cmd in pending:
-            self._send_feedback(Feedback(cmd.id, FeedbackStatus.SAFE_MODE,
-                                         "SAFE_MODE", now))
-
     def enter_safe_mode(self, now: int, reason: str) -> None:
         """Zero the motors, terminate all pending commands, latch SAFE mode.
 
@@ -582,7 +568,13 @@ class InstinctController:
                                {"reason": reason})
         self.safe_streak = 0
         self.device.stop()
-        self._cancel_pending(now)
+        pending = [] if self.active is None else [self.active.cmd]
+        pending.extend(self.queue)
+        self.active = None
+        self.queue.clear()
+        for cmd in pending:
+            self._send_feedback(Feedback(cmd.id, FeedbackStatus.SAFE_MODE,
+                                         "SAFE_MODE", now))
 
     # -- command intake ----------------------------------------------------
 
@@ -610,44 +602,46 @@ class InstinctController:
                 status, reason = FeedbackStatus.ACCEPTED, "QUEUED"
             self._send_feedback(Feedback(cmd.id, status, reason, now))
 
-    def _vet(self, low: LowCommand, now: int) -> SafetyVerdict:
-        """Check one primitive, trace its verdict, and execute it only if
-        safe; an unsafe one never reaches the device."""
+    def _vet(self, parent_id: int | None, kind: LowKind, v_left: float,
+             v_right: float, now: int) -> SafetyVerdict:
+        """Number one primitive, check it, trace its verdict, and execute it
+        only if safe; an unsafe one never reaches the device."""
+        low = LowCommand(next(self._low_ids), parent_id, kind, v_left, v_right)
         device = self.device
         verdict = safety_check(low, device.state.pose, self.belief,
                                device.world.bounds, device.robot, self.params,
                                now, self.physics_dt)
-        parent = "SURVIVAL" if low.parent_id is None else low.parent_id
+        parent = "SURVIVAL" if parent_id is None else parent_id
         self.recorder.emit("INSTINCT", "verdict", {"low_id": low.id,
                                                    "parent_id": parent,
                                                    **verdict.to_payload()})
-        if verdict.safe:
-            self._execute(low, parent)
-        return verdict
-
-    def _execute(self, low: LowCommand, parent: int | str) -> None:
-        if low.kind is LowKind.SET_WHEELS:
-            self.device.set_wheel_command(low.v_left, low.v_right,
-                                          low.duration_ticks)
+        if not verdict.safe:
+            return verdict
+        if kind is LowKind.SET_WHEELS:
+            device.set_wheel_command(v_left, v_right, low.duration_ticks)
             self.recorder.emit("DEVICE", "exec_wheels", {
                 "low_id": low.id, "parent_id": parent,
-                "v_left": low.v_left, "v_right": low.v_right,
+                "v_left": v_left, "v_right": v_right,
                 "duration_ticks": low.duration_ticks,
             })
         else:  # STOP_ALL
-            self.device.stop()
+            device.stop()
             self.recorder.emit("DEVICE", "exec_stop", {"low_id": low.id,
                                                        "parent_id": parent})
+        return verdict
 
     # -- the tick ----------------------------------------------------------
 
     def tick(self, now: int) -> None:
         """One pass of the fixed loop; see the module docstring for order."""
         self.recorder.begin_tick(now)  # no-op when the runner already did
-        # (1) acquire sweep + state; build this tick's belief
+        # (1) acquire sweep + state; build this tick's belief, stamped now,
+        # at the sweep's origin. It shares the sweep's digest and hits with
+        # every belief of the same sweep object (the robot standing still).
         scan = self.device.acquire_scan()
         state = self.device.state
-        front_min = self._perceive(scan, now)
+        self.belief = ObstacleBelief.from_scan(scan, now)
+        front_min = front_min_range(scan)
         if state.load >= self.params.overload_threshold:
             self.overload_ticks += 1
         else:
@@ -659,69 +653,45 @@ class InstinctController:
             "safe": safe, "reason": reason, "mode": self.mode.value,
             "front_min": front_min,
         })
-
+        acting = safe and self.mode is Mode.NORMAL
         if not safe:
             # (3) unsafe: safe mode, feedback, skip command handling
             self.enter_safe_mode(now, reason)
             self._send_feedback(Feedback(None, FeedbackStatus.SAFE_MODE,
                                          reason, now))
-            self._send_data(now)
-            return
-
-        if self.mode is Mode.SAFE:
+        elif not acting:
             # holding period: stay stopped until safe long enough
             self.safe_streak += 1
             if self.safe_streak >= self.params.safe_hold_ticks:
                 self.mode = Mode.NORMAL
                 self.recorder.emit("INSTINCT", "safe_mode_exited", {})
             self._poll_commands(now, holding=True)
-            self._send_data(now)
-            return
+        # the tick's one summary, with the mode safe-mode handling settled
+        summary = summarize(scan, state, self.mode, now)
 
-        # (4) survival tasks: speed governor and idle roaming
-        scale = self.governor_scale(front_min)
-        if scale < 1.0:
-            self.recorder.emit("INSTINCT", "governor",
-                               {"scale": scale, "front_min": front_min})
-        if self.params.roaming and self.active is None and not self.queue:
-            self._roam(scale, now)
+        if acting:
+            # (4) survival tasks: speed governor and idle roaming
+            scale = self.governor_scale(front_min)
+            if scale < 1.0:
+                self.recorder.emit("INSTINCT", "governor",
+                                   {"scale": scale, "front_min": front_min})
+            if self.params.roaming and self.active is None and not self.queue:
+                vl, vr = roam_intent(summary, self.roam_rng,
+                                     self.device.robot, self.params)
+                self._vet(None, LowKind.SET_WHEELS, vl * scale, vr * scale,
+                          now)
 
-        # (5) poll high commands; adopt the next one FIFO
-        self._poll_commands(now, holding=False)
-        if self.active is None and self.queue:
-            self.active = _ActiveCommand(self.queue.popleft())
+            # (5) poll high commands; adopt the next one FIFO
+            self._poll_commands(now, holding=False)
+            if self.active is None and self.queue:
+                self.active = _ActiveCommand(self.queue.popleft())
 
-        # (6) convert + vet: execute if safe, else refuse the command
-        if self.active is not None:
-            self._drive_active(state, scale, now)
+            # (6) convert + vet: execute if safe, else refuse the command
+            if self.active is not None:
+                self._drive_active(state, scale, now)
 
-        # (7) summarized data every tick
-        self._send_data(now)
-
-    def _perceive(self, scan: LidarScan, now: int) -> float:
-        """Set this tick's belief from the sweep read at ``now``, at the
-        sweep's origin, and return front_min.
-
-        Whatever is derived from the sweep is built on the sweep, once
-        (``LidarScan.digest``, ``LidarScan.hits``): the device hands back
-        the same object while it stands still, and every tick's belief,
-        stamped ``now``, shares that object's reduction and points.
-        """
-        self._scan = scan
-        self.belief = ObstacleBelief.from_scan(scan, now)
-        return front_min_range(scan)
-
-    def _summary(self, now: int) -> ScanSummary:
-        """This tick's sweep summarized with the device's current load and
-        the latch's mode (safe-mode handling can change it mid-tick)."""
-        return summarize(self._scan, self.device.state, self.mode, now)
-
-    def _roam(self, scale: float, now: int) -> None:
-        vl, vr = roam_intent(self._summary(now), self.roam_rng,
-                             self.device.robot, self.params)
-        low = LowCommand(self._next_low_id(), None, LowKind.SET_WHEELS,
-                         vl * scale, vr * scale)
-        self._vet(low, now)
+        # (7) summarized data every tick, last: a dropped one is traced
+        self.data_channel.transmit(summary, now)
 
     def _drive_active(self, state: RobotState, scale: float, now: int) -> None:
         active = self.active
@@ -731,9 +701,8 @@ class InstinctController:
         )
         if intent is not None:  # None only once done
             kind, vl, vr = intent
-            low = LowCommand(self._next_low_id(), active.cmd.id, kind,
-                             vl * scale, vr * scale)
-            verdict = self._vet(low, now)
+            verdict = self._vet(active.cmd.id, kind, vl * scale, vr * scale,
+                                now)
             if not verdict.safe:
                 self._send_feedback(Feedback(
                     active.cmd.id, FeedbackStatus.REFUSED,
@@ -747,6 +716,3 @@ class InstinctController:
         else:
             self._send_feedback(Feedback(active.cmd.id, FeedbackStatus.EXECUTING,
                                          "EXECUTING", now))
-
-    def _send_data(self, now: int) -> None:
-        self.data_channel.transmit(self._summary(now), now)

@@ -137,19 +137,19 @@ def build_runtime(
                                          "msg": type(msg).__name__,
                                          "id": getattr(msg, "id", None)})
 
+    def lossy(name: str, latency: int, drop: float, stream: str) -> Channel:
+        """A channel that draws from the seeded ``stream`` only when it can
+        drop, and traces each drop."""
+        rng = derive_rng(seed, stream) if drop > 0 else None
+        return Channel(name, latency, drop, rng, on_drop=trace_drop)
+
     task_channel = Channel("external.task", ch.task_latency)
-    command_channel = Channel(
-        "agent.command", ch.command_latency, ch.command_drop,
-        derive_rng(seed, "channel.command") if ch.command_drop > 0 else None,
-        on_drop=trace_drop)
-    feedback_channel = Channel(
-        "instinct.feedback", ch.feedback_latency, ch.feedback_drop,
-        derive_rng(seed, "channel.feedback") if ch.feedback_drop > 0 else None,
-        on_drop=trace_drop)
-    data_channel = Channel(
-        "instinct.data", ch.data_latency, ch.data_drop,
-        derive_rng(seed, "channel.data") if ch.data_drop > 0 else None,
-        on_drop=trace_drop)
+    command_channel = lossy("agent.command", ch.command_latency,
+                            ch.command_drop, "channel.command")
+    feedback_channel = lossy("instinct.feedback", ch.feedback_latency,
+                             ch.feedback_drop, "channel.feedback")
+    data_channel = lossy("instinct.data", ch.data_latency, ch.data_drop,
+                         "channel.data")
     instinct = InstinctController(
         device=device,
         command_channel=command_channel,

@@ -445,7 +445,7 @@ class TestScanReuse:
 
 # -- per-scan perception in the instinct tick ----------------------------------
 
-def _count_summaries(monkeypatch):
+def _count_digests(monkeypatch):
     """The sweeps whose ``digest`` gets built, in order (kept alive, so
     each identity is unique)."""
     sweeps = []
@@ -483,7 +483,15 @@ class TestPerScanPerception:
 
     def test_summaries_equal_fresh_summaries_and_run_once_per_tick(
             self, monkeypatch):
-        calls = _count_summaries(monkeypatch)
+        calls = _count_digests(monkeypatch)
+        summarize = instinct.summarize
+        summarized = []  # the tick of each summary the controller builds
+
+        def counting(scan, state, mode, tick):
+            summarized.append(tick)
+            return summarize(scan, state, mode, tick)
+
+        monkeypatch.setattr(instinct, "summarize", counting)
         stack = make_stack(world=self.WORLD,
                            params=InstinctParams(roaming=True))
         for now in range(400):
@@ -492,19 +500,24 @@ class TestPerScanPerception:
             stack.controller.tick(now)
             pose = stack.device.state.pose
             assert stack.controller.belief.origin == (pose.x, pose.y)
-            fresh = instinct.summarize(
+            fresh = summarize(
                 scan(stack.world, stack.device.state.pose, 36, 5.0),
                 stack.device.state, stack.controller.mode, now)
             calls.pop()  # the reference summary above
             assert stack.data.poll(now) == [fresh]
         assert len(calls) == len({id(s) for s in calls})
         assert 200 + 1 <= len(calls) <= 400 - 39
+        # one summary per tick, roaming ones included
+        roamed = {e.tick for e in stack.recorder.events
+                  if e.kind == "verdict" and e.payload["parent_id"] == "SURVIVAL"}
+        assert len(roamed) > 100
+        assert summarized == list(range(400))
 
     def test_summary_carries_mode_set_mid_tick(self, monkeypatch):
         # a surface inside d_stop: the tick enters safe mode before it reports
         world = WorldModel(bounds=Rect(-4, -4, 4, 4),
                            circles=(Circle(0.55, 0.0, 0.35),))
-        calls = _count_summaries(monkeypatch)
+        calls = _count_digests(monkeypatch)
         stack = make_stack(world=world)
         for now in range(3):
             stack.controller.tick(now)

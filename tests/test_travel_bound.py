@@ -7,6 +7,7 @@ verdict. ``docs/travel_bound.md`` derives the bound and its rounding margin.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestDiscApproval:
             3.0 - ROBOT.radius - length, abs=1e-9)
         assert v.predicted_min_clearance < 3.0 - ROBOT.radius - length
 
+    def test_bound_exactly_d_min_approves(self):
+        # one hit 0.6 m dead ahead of a 36-beam sweep; with d_min raised to
+        # the certified bound of a slow step, the same step is still
+        # approved on the fast path
+        ranges = np.full(36, MAX_RANGE)
+        ranges[0] = 0.6
+        pose = Pose2D(0.0, 0.0, 0.0)
+        belief = ObstacleBelief.from_scan(
+            LidarScan(ranges, pose, MAX_RANGE), 0)
+        low = LowCommand(1, 2, LowKind.SET_WHEELS, 0.1, 0.1, 1)
+        bounds = Rect(-4.0, -4.0, 4.0, 4.0)
+        first = safety_check(low, pose, belief, bounds, ROBOT, PARAMS, 0,
+                             PHYSICS_DT)
+        assert first.bound == "disc"
+        params = replace(PARAMS, d_min=first.predicted_min_clearance)
+        v = safety_check(low, pose, belief, bounds, ROBOT, params, 0,
+                         PHYSICS_DT)
+        assert v.safe and v.bound == "disc"
+        assert v.predicted_min_clearance == params.d_min
+
     @pytest.mark.parametrize("origin", [None, (1.0, 0.0), (0.0, -1.0)])
     def test_belief_built_elsewhere_takes_the_full_path(self, origin):
         # far from everything, so only where the belief was built matters
@@ -160,6 +181,30 @@ class TestDiscApproval:
         assert v.safe and v.reason is VerdictReason.OK
         assert v.predicted_min_clearance == full_clearance(pose, low, points,
                                                            bounds)
+
+
+class TestTravelBound:
+    @pytest.mark.parametrize("a_max", [0.5, 2.0])
+    @settings(max_examples=300, deadline=None)
+    @given(wheels=wheel_pairs(), ticks=st.integers(1, 200),
+           theta=st.floats(-math.pi, math.pi))
+    def test_samples_lie_within_the_bound(self, a_max, wheels, ticks, theta):
+        """Every sample of a robot other than the default lies within L."""
+        robot = replace(ROBOT, a_max=a_max)
+        hold_s = ticks * PHYSICS_DT
+        samples = predict_trajectory(Pose2D(0.0, 0.0, theta), *wheels,
+                                     hold_s, robot, PARAMS.dt_pred)
+        length = travel_bound(*wheels, hold_s, robot, PARAMS.dt_pred)
+        assert np.hypot(samples[:, 0], samples[:, 1]).max() <= length + 1e-9
+
+    def test_slow_braking_runs_far(self):
+        # a full-speed straight step braking at 0.5 m/s^2 runs about 0.26 m
+        robot = replace(ROBOT, a_max=0.5)
+        samples = predict_trajectory(Pose2D(0.0, 0.0, 0.0), 0.5, 0.5,
+                                     PHYSICS_DT, robot, PARAMS.dt_pred)
+        reach = np.hypot(samples[:, 0], samples[:, 1]).max()
+        assert 0.25 < reach <= travel_bound(0.5, 0.5, PHYSICS_DT, robot,
+                                            PARAMS.dt_pred)
 
 
 def test_generated_cases_keep_the_full_verdicts(monkeypatch):
